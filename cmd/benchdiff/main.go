@@ -1,7 +1,10 @@
 // Command benchdiff guards the repository's benchmark baselines: it runs
-// the baseline's benchmarks via `go test -bench`, compares the measured
-// ns/op and allocs/op against the committed BENCH_*.json values, and exits
-// nonzero when any metric regresses past the tolerance.
+// the baseline's benchmarks via `go test -bench -cpu <host.cores>`, compares
+// the measured ns/op and allocs/op against the committed BENCH_*.json
+// values, and exits nonzero when any gated metric regresses. allocs/op
+// always gates, with 1% slack. ns/op gates past -tolerance only
+// when `go test`'s "cpu:" line matches the baseline's host.cpu, and is
+// reported otherwise.
 //
 // Examples:
 //
@@ -9,7 +12,7 @@
 //	benchdiff -baseline BENCH_parallel.json -tolerance 0.5
 //	go test -bench . ./... | tee out.txt; benchdiff -input out.txt
 //
-// Exit status: 0 when every compared metric is within tolerance, 1 on
+// Exit status: 0 when every gated metric is within bounds, 1 on
 // regression, 2 on usage or execution errors.
 package main
 
@@ -20,7 +23,8 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"runtime"
+	"strconv"
+	"strings"
 
 	"jumanji/internal/benchdiff"
 )
@@ -34,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		baseline  = fs.String("baseline", "BENCH_dense.json", "committed baseline file to compare against")
-		tolerance = fs.Float64("tolerance", 0.25, "allowed fractional slowdown before a metric counts as regressed")
+		tolerance = fs.Float64("tolerance", 0.25, "allowed fractional ns/op slowdown before it counts as regressed (allocs/op allow 1%)")
 		input     = fs.String("input", "", "parse pre-recorded `go test -bench` output from this file instead of running benchmarks")
 		benchtime = fs.String("benchtime", "", "-benchtime passed through to `go test` (default: go's 1s)")
 		count     = fs.Int("count", 3, "-count passed through to `go test`; benchdiff keeps each metric's minimum across runs to shed scheduler noise")
@@ -53,32 +57,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2
 	}
-	// Timing baselines only transfer between hosts of the same shape:
-	// parallel benchmarks recorded on a 1-core box are meaningless targets
-	// on 16 cores and vice versa. Skip (don't fail) on a mismatch so CI
-	// stays green on whatever runner it lands on.
-	if cores := runtime.GOMAXPROCS(0); base.HostCores > 0 && base.HostCores != cores {
-		fmt.Fprintf(stdout, "benchdiff: skipping %s: baseline recorded on %d core(s), this host has GOMAXPROCS=%d; re-record on a matching host to re-enable the gate\n",
-			base.Path, base.HostCores, cores)
-		return 0
-	}
-
-	var benchOut io.Reader
+	var benchOut []byte
 	if *input != "" {
-		f, err := os.Open(*input)
-		if err != nil {
+		if benchOut, err = os.ReadFile(*input); err != nil {
 			fmt.Fprintln(stderr, "benchdiff:", err)
 			return 2
 		}
-		defer f.Close()
-		benchOut = f
 	} else {
-		cmdArgs := []string{"test", "-run", "^$", "-bench", base.BenchRegexp(), "-benchmem", fmt.Sprintf("-count=%d", *count)}
-		if *benchtime != "" {
-			cmdArgs = append(cmdArgs, "-benchtime", *benchtime)
-		}
-		cmdArgs = append(cmdArgs, *pkg)
-		fmt.Fprintf(stderr, "benchdiff: go %s\n", joinArgs(cmdArgs))
+		cmdArgs := goTestArgs(base, *count, *benchtime, *pkg)
+		fmt.Fprintf(stderr, "benchdiff: go %s\n", strings.Join(cmdArgs, " "))
 		cmd := exec.Command("go", cmdArgs...)
 		var out bytes.Buffer
 		cmd.Stdout = &out
@@ -87,10 +74,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "benchdiff: go test:", err)
 			return 2
 		}
-		benchOut = &out
+		benchOut = out.Bytes()
 	}
 
-	got, err := benchdiff.ParseBenchOutput(benchOut)
+	got, err := benchdiff.ParseBenchOutput(bytes.NewReader(benchOut))
 	if err != nil {
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2
@@ -98,6 +85,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(got) == 0 {
 		fmt.Fprintln(stderr, "benchdiff: no benchmark results in input")
 		return 2
+	}
+	// allocs/op is deterministic at a fixed -cpu and always gates. Timings
+	// transfer only between identical CPU models, so elsewhere ns/op is
+	// reported but not gated.
+	cpu := benchdiff.ParseCPU(benchOut)
+	gateNs := cpu == base.HostCPU
+	if !gateNs {
+		fmt.Fprintf(stdout, "benchdiff: ns/op reported, not gated: baseline recorded on %q, this host is %q\n",
+			base.HostCPU, cpu)
 	}
 
 	deltas := benchdiff.Compare(base, got, *tolerance)
@@ -109,10 +105,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "benchdiff: %s vs measured (tolerance %.0f%%)\n", base.Path, *tolerance*100)
 	regressions := 0
 	for _, d := range deltas {
+		note := ""
+		if d.Metric == "ns/op" && !gateNs {
+			d.Regressed, note = false, " (not gated)"
+		}
 		if d.Regressed {
 			regressions++
 		}
-		fmt.Fprintln(stdout, " ", d)
+		fmt.Fprintln(stdout, " ", d.String()+note)
 	}
 	for _, name := range benchdiff.Missing(base, got) {
 		fmt.Fprintf(stdout, "  %-45s %-10s (in baseline, not measured)\n", name, "-")
@@ -123,20 +123,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  %-45s %-10s (missing in baseline)\n", name, "-")
 	}
 	if regressions > 0 {
-		fmt.Fprintf(stdout, "benchdiff: %d metric(s) regressed beyond %.0f%%\n", regressions, *tolerance*100)
+		fmt.Fprintf(stdout, "benchdiff: %d metric(s) regressed\n", regressions)
 		return 1
 	}
 	fmt.Fprintln(stdout, "benchdiff: ok")
 	return 0
 }
 
-func joinArgs(args []string) string {
-	var b bytes.Buffer
-	for i, a := range args {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(a)
+// goTestArgs builds the `go test` command line for the baseline's
+// benchmarks, pinned to the core count they were recorded on.
+func goTestArgs(base *benchdiff.Baseline, count int, benchtime, pkg string) []string {
+	args := []string{"test", "-run", "^$", "-bench", base.BenchRegexp(), "-benchmem", fmt.Sprintf("-count=%d", count)}
+	if base.HostCores > 0 {
+		args = append(args, "-cpu", strconv.Itoa(base.HostCores))
 	}
-	return b.String()
+	if benchtime != "" {
+		args = append(args, "-benchtime", benchtime)
+	}
+	return append(args, pkg)
 }

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"jumanji/internal/benchdiff"
 )
 
 // writeFiles drops a baseline and a pre-recorded bench-output file into a
@@ -74,25 +76,41 @@ func TestRunRegressionStillFails(t *testing.T) {
 	}
 }
 
-// Host-shape gating: a baseline recorded with a different core count than
-// the current GOMAXPROCS is skipped with an informational line, not failed —
-// timing targets don't transfer across host shapes.
-func TestRunSkipsBaselineFromDifferentHostShape(t *testing.T) {
-	otherCores := runtime.GOMAXPROCS(0) + 7
-	base, input := writeFiles(t,
-		fmt.Sprintf(`{"host": {"cores": %d}, "results": {"BenchmarkKnown": {"ns_per_op": 1000}}}`, otherCores),
-		"BenchmarkKnown-4 10 99999999 ns/op\n") // would be a huge regression if compared
-	var stdout, stderr strings.Builder
-	rc := run([]string{"-baseline", base, "-input", input}, &stdout, &stderr)
-	if rc != 0 {
-		t.Fatalf("rc = %d, want 0 (skip); stderr: %s", rc, stderr.String())
+// CPU gating: allocs/op gates on any host, but ns/op gates only when the
+// measured CPU model matches the baseline's host.cpu; elsewhere a timing
+// regression is reported, never failed.
+func TestRunGatesNsOnlyOnRecordedCPU(t *testing.T) {
+	const base = `{"host": {"cores": 1, "cpu": "Recorded CPU"}, "results": {"BenchmarkKnown": {"ns_per_op": 1000, "allocs_per_op": 0}}}`
+	for _, tc := range []struct {
+		name, out string
+		rc        int
+	}{
+		{"other cpu, slow", "cpu: Other CPU\nBenchmarkKnown 10 99999999 ns/op 0 allocs/op\n", 0},
+		{"other cpu, allocs", "cpu: Other CPU\nBenchmarkKnown 10 990 ns/op 1 allocs/op\n", 1},
+		{"recorded cpu, slow", "cpu: Recorded CPU\nBenchmarkKnown 10 99999999 ns/op 0 allocs/op\n", 1},
+	} {
+		basePath, input := writeFiles(t, base, tc.out)
+		var stdout, stderr strings.Builder
+		if rc := run([]string{"-baseline", basePath, "-input", input}, &stdout, &stderr); rc != tc.rc {
+			t.Errorf("%s: rc = %d, want %d; stdout:\n%s", tc.name, rc, tc.rc, stdout.String())
+		}
+		if strings.HasPrefix(tc.name, "other") && !strings.Contains(stdout.String(), "not gated") {
+			t.Errorf("%s: no note that ns/op is not gated:\n%s", tc.name, stdout.String())
+		}
 	}
-	out := stdout.String()
-	if !strings.Contains(out, "skipping") || !strings.Contains(out, "GOMAXPROCS") {
-		t.Errorf("expected a skip info line, got:\n%s", out)
+}
+
+// The benchmarks run at the baseline's recorded core count, whatever this
+// host has, so allocs/op is measured in the recorded shape.
+func TestGoTestArgsPinRecordedCores(t *testing.T) {
+	base := &benchdiff.Baseline{HostCores: 1, Results: map[string]benchdiff.Metrics{"BenchmarkKnown": {}}}
+	args := strings.Join(goTestArgs(base, 3, "", "./x"), " ")
+	if !strings.Contains(args, "-cpu 1 ") || !strings.HasSuffix(args, " ./x") {
+		t.Fatalf("go test args %q do not pin -cpu 1", args)
 	}
-	if strings.Contains(out, "regressed") {
-		t.Errorf("mismatched-host baseline must not be compared:\n%s", out)
+	base.HostCores = 0
+	if args := strings.Join(goTestArgs(base, 3, "", "./x"), " "); strings.Contains(args, "-cpu") {
+		t.Fatalf("go test args %q pin -cpu without a recorded core count", args)
 	}
 }
 

@@ -70,18 +70,14 @@ func run() int {
 			return 2
 		}
 	}
-	o.Metrics, o.Events, o.Trace = sinks.Registry(), sinks.Events(), sinks.Trace()
-	o.TS = sinks.TS()
-	o.Prov = sinks.Prov()
-	o.Spans = sinks.Spans()
+	o.Sinks = sinks.Sinks()
 	o.Progress = status.Tracker()
 
 	// The journal fingerprint covers everything that shapes a cell's
 	// identity or its journalled sink state, so a resume against a journal
 	// written under a different protocol or sink set is refused.
-	fingerprint := fmt.Sprintf("figures|mixes=%d|epochs=%d|warmup=%d|seed=%d|mesh=%dx%d|metrics=%t|events=%t|trace=%t|tsdb=%t|prov=%t",
-		o.Mixes, o.Epochs, o.Warmup, o.Seed, o.MeshW, o.MeshH,
-		o.Metrics != nil, o.Events != nil, o.Trace != nil, o.TS != nil, o.Prov != nil)
+	fingerprint := fmt.Sprintf("figures|mixes=%d|epochs=%d|warmup=%d|seed=%d|mesh=%dx%d|%s",
+		o.Mixes, o.Epochs, o.Warmup, o.Seed, o.MeshW, o.MeshH, o.Sinks.Fingerprint())
 	var curArgs string // the -fig/-table flags of the sweep now running
 	repro := func(label string, cell int) string {
 		scale := ""
@@ -117,11 +113,7 @@ func run() int {
 	}
 	defer status.Close()
 	if status.Addr != "" {
-		o.PublishMetrics = status.PublishMetrics
-		o.PublishTimeseries = status.PublishTimeseries
-		if o.Prov != nil {
-			o.PublishProvenance = status.PublishProvenance
-		}
+		o.Publish = &status
 	}
 
 	// render runs one figure or table, absorbing the sweep engine's

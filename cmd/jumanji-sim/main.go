@@ -78,16 +78,12 @@ func run() int {
 	}
 	opts.HighLoad = *load != "low"
 	opts.Parallel = *par
-	opts.Metrics, opts.Events, opts.Trace = sinks.Registry(), sinks.Events(), sinks.Trace()
-	opts.TS = sinks.TS()
-	opts.Prov = sinks.Prov()
-	opts.Spans = sinks.Spans()
+	opts.Sinks = sinks.Sinks()
 	opts.Progress = status.Tracker()
 
-	fingerprint := fmt.Sprintf("jumanji-sim|design=%s|lc=%s|load=%s|epochs=%d|warmup=%d|seed=%d|vms=%d|router=%d|mesh=%dx%d|shard=%dx%d|metrics=%t|events=%t|trace=%t|tsdb=%t|prov=%t",
+	fingerprint := fmt.Sprintf("jumanji-sim|design=%s|lc=%s|load=%s|epochs=%d|warmup=%d|seed=%d|vms=%d|router=%d|mesh=%dx%d|shard=%dx%d|%s",
 		strings.ToLower(*designFlag), *lc, *load, *epochs, *warmup, *seed, *vms, *router,
-		opts.MeshW, opts.MeshH, opts.ShardRegionW, opts.ShardRegionH,
-		opts.Metrics != nil, opts.Events != nil, opts.Trace != nil, opts.TS != nil, opts.Prov != nil)
+		opts.MeshW, opts.MeshH, opts.ShardRegionW, opts.ShardRegionH, opts.Sinks.Fingerprint())
 	repro := func(label string, cell int) string {
 		extra := ""
 		if *shard != "" {
@@ -119,11 +115,7 @@ func run() int {
 	}
 	defer status.Close()
 	if status.Addr != "" {
-		opts.PublishMetrics = status.PublishMetrics
-		opts.PublishTimeseries = status.PublishTimeseries
-		if opts.Prov != nil {
-			opts.PublishProvenance = status.PublishProvenance
-		}
+		opts.Publish = &status
 	}
 
 	build := workloadBuilder(*lc, *vms, *seed)

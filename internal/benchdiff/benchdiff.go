@@ -4,7 +4,8 @@
 // guarded by CI instead of silently eroding. It parses the standard
 // benchmark output format, matches benchmarks by name against the
 // baseline's results, and flags any ns/op or allocs/op value that exceeds
-// the baseline by more than a configurable tolerance.
+// the baseline: ns/op by more than a configurable tolerance, allocs/op by
+// more than 1%.
 package benchdiff
 
 import (
@@ -35,10 +36,13 @@ type Baseline struct {
 	Path    string
 	Results map[string]Metrics
 	// HostCores is the core count the baseline was recorded on (host.cores
-	// in the file; 0 when unrecorded). Timing baselines are only comparable
-	// on a matching host shape — cmd/benchdiff skips the comparison with an
-	// informational note when it differs from the current GOMAXPROCS.
+	// in the file; 0 when unrecorded). cmd/benchdiff runs the benchmarks
+	// with -cpu HostCores, so every host measures the recorded shape.
 	HostCores int
+	// HostCPU is the CPU model the baseline was recorded on (host.cpu, as
+	// `go test` prints it on its "cpu:" line). Timings transfer only to the
+	// same model, so cmd/benchdiff gates ns/op only when they match.
+	HostCPU string
 }
 
 // baselineFile mirrors the committed schema: results keyed by benchmark
@@ -47,7 +51,8 @@ type Baseline struct {
 // state the file's commit established — is the number to defend.
 type baselineFile struct {
 	Host struct {
-		Cores int `json:"cores"`
+		Cores int    `json:"cores"`
+		CPU   string `json:"cpu"`
 	} `json:"host"`
 	Results map[string]json.RawMessage `json:"results"`
 }
@@ -65,7 +70,7 @@ func LoadBaseline(path string) (*Baseline, error) {
 	if len(f.Results) == 0 {
 		return nil, fmt.Errorf("benchdiff: %s has no results", path)
 	}
-	b := &Baseline{Path: path, Results: make(map[string]Metrics, len(f.Results)), HostCores: f.Host.Cores}
+	b := &Baseline{Path: path, Results: make(map[string]Metrics, len(f.Results)), HostCores: f.Host.Cores, HostCPU: f.Host.CPU}
 	for name, raw := range f.Results {
 		var pair struct {
 			After *Metrics `json:"after"`
@@ -149,6 +154,17 @@ func ParseBenchOutput(r io.Reader) (map[string]Metrics, error) {
 	return out, nil
 }
 
+// ParseCPU returns the CPU model from the first "cpu:" line of `go test
+// -bench` output, or "" when there is none.
+func ParseCPU(benchOut []byte) string {
+	for _, line := range strings.Split(string(benchOut), "\n") {
+		if cpu, ok := strings.CutPrefix(strings.TrimSpace(line), "cpu:"); ok {
+			return strings.TrimSpace(cpu)
+		}
+	}
+	return ""
+}
+
 // Delta is one compared metric.
 type Delta struct {
 	Bench  string  // benchmark name
@@ -170,16 +186,21 @@ func (d Delta) String() string {
 		d.Bench, d.Metric, d.Base, d.Got, d.Ratio, status)
 }
 
+// allocSlack is the fractional allocs/op excess Compare tolerates. Counts
+// are deterministic up to the odd pool refill after a GC (±1-3 on a
+// 500-4000 allocs/op benchmark); 1% absorbs that but still flags one extra
+// allocation per op on any benchmark under 100 allocs/op.
+const allocSlack = 0.01
+
 // Compare checks every measured benchmark that appears in the baseline,
 // comparing ns/op and allocs/op (the gate metrics; B/op is informational in
-// the baselines and skipped). A metric regresses when got > base×(1+tol);
-// a zero-alloc baseline regresses on any allocation at all — 0→1 allocs/op
-// is an infinite ratio and exactly the kind of change the alloc guards
-// exist to catch. Deltas come back sorted by benchmark then metric.
-// Improvements are never flagged.
+// the baselines and skipped). ns/op regresses when got > base×(1+tol);
+// allocs/op, deterministic at a fixed -cpu, gets only allocSlack, and a
+// zero-alloc baseline's 0→1 is an infinite ratio. Deltas come back sorted
+// by benchmark then metric. Improvements are never flagged.
 func Compare(base *Baseline, got map[string]Metrics, tol float64) []Delta {
 	var out []Delta
-	add := func(bench, metric string, b, g *float64) {
+	add := func(bench, metric string, b, g *float64, tol float64) {
 		if b == nil || g == nil {
 			return
 		}
@@ -203,8 +224,8 @@ func Compare(base *Baseline, got map[string]Metrics, tol float64) []Delta {
 		if !ok {
 			continue
 		}
-		add(bench, "ns/op", bm.NsPerOp, gm.NsPerOp)
-		add(bench, "allocs/op", bm.AllocsPerOp, gm.AllocsPerOp)
+		add(bench, "ns/op", bm.NsPerOp, gm.NsPerOp, tol)
+		add(bench, "allocs/op", bm.AllocsPerOp, gm.AllocsPerOp, allocSlack)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Bench != out[j].Bench {

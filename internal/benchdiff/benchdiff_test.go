@@ -238,6 +238,26 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 	}
 }
 
+// allocs/op is deterministic, so the ns/op tolerance does not apply to it:
+// 2% over the baseline regresses at a 25% tolerance.
+func TestCompareAllocsIgnoreTolerance(t *testing.T) {
+	b := writeBaseline(t, denseBaseline)
+	one := strings.Replace(benchOutput, "11953 allocs/op", "12240 allocs/op", 1)
+	got, err := ParseBenchOutput(strings.NewReader(one))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flagged []Delta
+	for _, d := range Compare(b, got, 0.25) {
+		if d.Regressed {
+			flagged = append(flagged, d)
+		}
+	}
+	if len(flagged) != 1 || flagged[0].Bench != "BenchmarkEpochLoop" || flagged[0].Metric != "allocs/op" {
+		t.Fatalf("flagged %v, want only BenchmarkEpochLoop allocs/op (12240 vs 12000)", flagged)
+	}
+}
+
 func TestCompareSkipsMetricsAbsentFromBaseline(t *testing.T) {
 	b := writeBaseline(t, flatBaseline)
 	got, err := ParseBenchOutput(strings.NewReader(benchOutput))

@@ -95,11 +95,17 @@ func (r *Registry) state() []MetricState {
 // CellFromState reconstructs a replayable Cell from a journalled snapshot.
 // The result merges through MergeInto exactly like the original cell would
 // have; merging a sink the current run has disabled is naturally a no-op.
+// A state no registry could have produced (a repeated or empty metric name,
+// an invalid histogram shape) is an error, never a panic: journals are read
+// back after crashes and may hold anything.
 func CellFromState(st CellState) (*Cell, error) {
 	c := &Cell{}
 	if len(st.Metrics) > 0 {
 		r := NewRegistry()
 		for _, m := range st.Metrics {
+			if _, dup := r.byName[m.Name]; dup || m.Name == "" {
+				return nil, fmt.Errorf("obs: cell state metric name %q is empty or repeated", m.Name)
+			}
 			switch m.Kind {
 			case KindCounter:
 				r.Counter(m.Name).n = m.Count
@@ -107,7 +113,7 @@ func CellFromState(st CellState) (*Cell, error) {
 				g := r.Gauge(m.Name)
 				g.v, g.set = m.Value, m.Set
 			case KindHistogram:
-				if len(m.Bins) == 0 || m.Hi <= m.Lo {
+				if len(m.Bins) == 0 || !(m.Hi > m.Lo) {
 					return nil, fmt.Errorf("obs: cell state histogram %q has invalid shape", m.Name)
 				}
 				h := r.Histogram(m.Name, m.Lo, m.Hi, len(m.Bins))

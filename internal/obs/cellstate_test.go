@@ -66,7 +66,7 @@ func mergeAll(t *testing.T, c *Cell) (metrics, events, trace, ts string) {
 // journal stores it), decoded, and rebuilt merges byte-identically to the
 // original cell.
 func TestCellStateRoundTripByteIdentical(t *testing.T) {
-	orig := NewCell(NewRegistry(), NewEventLog(&bytes.Buffer{}), NewTrace(nil), tsdb.New(64), NewEventLog(&bytes.Buffer{}))
+	orig := Sinks{Metrics: NewRegistry(), Events: NewEventLog(&bytes.Buffer{}), Trace: NewTrace(nil), TS: tsdb.New(64), Prov: NewEventLog(&bytes.Buffer{})}.NewCell()
 	populate(orig)
 
 	st, err := orig.State()
@@ -111,7 +111,7 @@ func TestCellStateRoundTripByteIdentical(t *testing.T) {
 // A replayed cell must preserve exact counter integers (beyond float64
 // precision) and the gauge set flag.
 func TestCellStateLossless(t *testing.T) {
-	c := NewCell(NewRegistry(), nil, nil, nil, nil)
+	c := Sinks{Metrics: NewRegistry()}.NewCell()
 	const big = uint64(1)<<60 + 3
 	c.Metrics.Counter("huge").Add(big)
 	c.Metrics.Gauge("unset")
@@ -138,7 +138,7 @@ func TestCellStateLossless(t *testing.T) {
 
 func TestCellStateDisabledSinks(t *testing.T) {
 	// A fully disabled cell round-trips to a cell that merges as a no-op.
-	c := NewCell(nil, nil, nil, nil, nil)
+	c := Sinks{}.NewCell()
 	st, err := c.State()
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 //	flag.Parse()
 //	if err := cli.Open(); err != nil { ... }
 //	defer cli.Close()
-//	cfg.Metrics, cfg.Events, cfg.Trace = cli.Registry(), cli.Events(), cli.Trace()
+//	opts.Sinks = cli.Sinks()
 //
 // Flags left empty cost nothing: the accessors return nil and every sink
 // method no-ops on nil.
@@ -33,14 +33,9 @@ type CLI struct {
 	MemProfile  string
 	SpansOn     bool
 
-	registry *Registry
-	events   *EventLog
-	trace    *Trace
-	ts       *tsdb.DB
-	prov     *EventLog
-	spans    *Spans
-	files    []*os.File
-	cpuOn    bool
+	sinks Sinks // the recording sinks and Spans; Progress and Publish stay nil
+	files []*os.File
+	cpuOn bool
 }
 
 // RegisterFlags declares the observability flags on fs.
@@ -72,36 +67,36 @@ func (c *CLI) Open() error {
 		if err != nil {
 			return err
 		}
-		c.events = NewEventLog(f)
+		c.sinks.Events = NewEventLog(f)
 	}
 	if c.TracePath != "" {
 		f, err := c.create(c.TracePath)
 		if err != nil {
 			return err
 		}
-		c.trace = NewTrace(f)
+		c.sinks.Trace = NewTrace(f)
 	}
 	if c.MetricsPath != "" || c.TSDBPath != "" {
 		// The flight recorder samples the registry, so -tsdb forces one on
 		// even without -metrics.
-		c.registry = NewRegistry()
+		c.sinks.Metrics = NewRegistry()
 	}
 	if c.TSDBPath != "" {
-		c.ts = tsdb.New(tsdb.DefaultCapacity)
+		c.sinks.TS = tsdb.New(tsdb.DefaultCapacity)
 	}
 	if c.ProvPath != "" {
 		f, err := c.create(c.ProvPath)
 		if err != nil {
 			return err
 		}
-		c.prov = NewEventLog(f)
+		c.sinks.Prov = NewEventLog(f)
 	}
 	if c.SpansOn {
-		c.spans = NewSpans()
-		if c.trace != nil {
+		c.sinks.Spans = NewSpans()
+		if c.sinks.Trace != nil {
 			// With both -spans and -tracefile, the phase timings land in the
 			// trace as their own "wall clock" lane at Close.
-			c.spans.EnableTrace()
+			c.sinks.Spans.EnableTrace()
 		}
 	}
 	if c.CPUProfile != "" {
@@ -117,24 +112,25 @@ func (c *CLI) Open() error {
 	return nil
 }
 
+// Sinks returns the opened sinks: each is nil when its flag is unset.
+// Progress and Publish are left for the caller (statusz.CLI supplies both).
+func (c *CLI) Sinks() Sinks { return c.sinks }
+
 // Registry returns the metric registry (nil when -metrics is unset).
-func (c *CLI) Registry() *Registry { return c.registry }
+func (c *CLI) Registry() *Registry { return c.sinks.Metrics }
 
 // Events returns the decision log (nil when -events is unset).
-func (c *CLI) Events() *EventLog { return c.events }
+func (c *CLI) Events() *EventLog { return c.sinks.Events }
 
 // Trace returns the trace sink (nil when -tracefile is unset).
-func (c *CLI) Trace() *Trace { return c.trace }
+func (c *CLI) Trace() *Trace { return c.sinks.Trace }
 
 // TS returns the flight-recorder store (nil when -tsdb is unset).
-func (c *CLI) TS() *tsdb.DB { return c.ts }
+func (c *CLI) TS() *tsdb.DB { return c.sinks.TS }
 
 // Prov returns the placement-provenance log (nil when -provenance is
 // unset).
-func (c *CLI) Prov() *EventLog { return c.prov }
-
-// Spans returns the phase timers (nil when -spans is unset).
-func (c *CLI) Spans() *Spans { return c.spans }
+func (c *CLI) Prov() *EventLog { return c.sinks.Prov }
 
 // Close finishes every sink: stops the CPU profile, writes the heap
 // profile, flushes the trace, dumps the metrics, and closes the files. It
@@ -158,33 +154,34 @@ func (c *CLI) Close() error {
 			keep(pprof.WriteHeapProfile(f))
 		}
 	}
-	if c.spans != nil {
-		c.spans.WriteTrace(c.trace) // before Close; no-op when -tracefile is unset
-		keep(c.spans.WriteText(os.Stderr))
+	s := c.sinks
+	if s.Spans != nil {
+		s.Spans.WriteTrace(s.Trace) // before Close; no-op when -tracefile is unset
+		keep(s.Spans.WriteText(os.Stderr))
 	}
-	if c.trace != nil {
-		keep(c.trace.Close())
+	if s.Trace != nil {
+		keep(s.Trace.Close())
 	}
-	if c.events != nil {
-		keep(c.events.Err())
+	if s.Events != nil {
+		keep(s.Events.Err())
 	}
-	if c.prov != nil {
-		keep(c.prov.Err())
+	if s.Prov != nil {
+		keep(s.Prov.Err())
 	}
-	if c.ts != nil {
+	if s.TS != nil {
 		if f, err := c.create(c.TSDBPath); err != nil {
 			keep(err)
 		} else {
-			keep(c.ts.Write(f))
+			keep(s.TS.Write(f))
 		}
 	}
-	if c.registry != nil && c.MetricsPath != "" {
+	if s.Metrics != nil && c.MetricsPath != "" {
 		if c.MetricsPath == "-" {
-			keep(c.registry.WriteText(os.Stderr))
+			keep(s.Metrics.WriteText(os.Stderr))
 		} else if f, err := c.create(c.MetricsPath); err != nil {
 			keep(err)
 		} else {
-			keep(c.registry.WriteText(f))
+			keep(s.Metrics.WriteText(f))
 		}
 	}
 	for _, f := range c.files {

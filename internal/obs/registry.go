@@ -13,13 +13,13 @@
 // Like the rest of the simulator, the deterministic sinks (Registry,
 // EventLog, Trace) are single-threaded: one run owns its sinks. Runs on
 // different goroutines must use separate sinks; the parallel experiment
-// engine gives each worker cell a private Registry, EventLog, and Trace,
-// then folds them into the user-visible ones *in cell order* — never in
-// completion order — via Registry.Merge, EventLog.AppendJSONL, and
-// Trace.Merge. Cell-order merging is what makes a parallel run's sink
-// output byte-identical to a serial run's: counter sums and histogram bins
-// commute, but gauge last-write-wins, event sequence numbers, and trace
-// lane numbering all depend on merge order, so the order is pinned.
+// engine gives each worker cell private mirrors of a run's Sinks
+// (Sinks.NewCell), then folds them into the user-visible ones *in cell
+// order* — never in completion order — via Sinks.Merge. Cell-order
+// merging is what makes a parallel run's sink output byte-identical to a
+// serial run's: counter sums and histogram bins commute, but gauge
+// last-write-wins, event sequence numbers, and trace lane numbering all
+// depend on merge order, so the order is pinned.
 //
 // Spans is the one deliberate exception to both rules: it measures host
 // wall-clock time (Go's monotonic clock via time.Now/time.Since, so

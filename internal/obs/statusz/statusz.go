@@ -286,8 +286,11 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 //	flag.Parse()
 //	if err := status.Start(info, spans); err != nil { ... }
 //	defer status.Close()
+//	opts.Sinks = sinks.Sinks() // an obs.CLI's
 //	opts.Progress = status.Tracker()
-//	opts.PublishMetrics = status.PublishMetrics
+//	if status.Addr != "" {
+//		opts.Publish = &status // *CLI is an obs.Publisher
+//	}
 type CLI struct {
 	Addr       string // -status
 	ProgressOn bool   // -progress
@@ -363,6 +366,8 @@ func (c *CLI) report(every time.Duration) {
 		}
 	}
 }
+
+var _ obs.Publisher = (*CLI)(nil)
 
 // PublishMetrics forwards a snapshot to the server; safe with no server.
 func (c *CLI) PublishMetrics(snaps []obs.MetricSnapshot) { c.server.PublishMetrics(snaps) }

@@ -113,9 +113,11 @@ const sampleBurstCap = 512
 
 // handleStream serves the live SSE feed: a "hello" event on subscribe
 // (so curl-based smoke tests observe a complete event without waiting for
-// run activity), then "samples" and "alert" events as merges publish. On
-// graceful shutdown the subscriber receives a final "shutdown" frame and a
-// clean connection close, never a reset mid-frame.
+// run activity), then "samples" and "alert" events as merges publish. The
+// subscription is registered before hello is written, so every publish a
+// client could order after reading hello reaches it. On graceful shutdown
+// the subscriber receives a final "shutdown" frame and a clean connection
+// close, never a reset mid-frame.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -125,12 +127,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
+	sub := s.hub.Subscribe()
+	defer s.hub.Unsubscribe(sub)
 	w.WriteHeader(http.StatusOK)
 	w.Write(SSEEvent("hello", map[string]string{"command": s.info.Command})) //nolint:errcheck
 	fl.Flush()
-
-	sub := s.hub.Subscribe()
-	defer s.hub.Unsubscribe(sub)
 	for {
 		select {
 		case <-r.Context().Done():
@@ -158,7 +159,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // PublishTimeseries installs a flight-recorder dump for /timeseries to
 // serve, scans it with the online anomaly rules, and streams the new
 // samples and any fresh alerts to /stream subscribers. The harness calls it
-// at cell-merge points with an immutable dump (see sweep.Sinks); between
+// at cell-merge points with an immutable dump (see obs.Publisher); between
 // publishes the endpoints serve the previous one. Safe on a nil Server.
 func (s *Server) PublishTimeseries(dump []tsdb.SeriesData) {
 	if s == nil {

@@ -148,8 +148,8 @@ func TestStreamHelloSamplesAndAlerts(t *testing.T) {
 		t.Fatalf("first event = %q %q; want hello with the command name", event, data)
 	}
 
-	// The publish below lands after the hello was flushed, so the subscriber
-	// is guaranteed to be registered before broadcast.
+	// The handler subscribes before it writes hello, so this publish is
+	// guaranteed to reach the stream.
 	srv.PublishTimeseries(dumpWith(t, "system.lat_norm.p95", 0.8, 1.4))
 
 	event, data = readEvent(t, r)
@@ -168,6 +168,41 @@ func TestStreamHelloSamplesAndAlerts(t *testing.T) {
 	var alert tsdb.Alert
 	if event != "alert" || json.Unmarshal([]byte(data), &alert) != nil || alert.Rule != tsdb.RuleSLOOnset {
 		t.Fatalf("third event = %q %q; want an %s alert", event, data, tsdb.RuleSLOOnset)
+	}
+}
+
+// TestStreamPublishRightAfterHello is the subscribe-before-hello stress
+// test: a publish issued the instant a client has read hello must reach
+// that client, so the handler has to subscribe before it writes hello. The
+// race window is narrow; CI runs this with -count=200 -cpu 1,2.
+func TestStreamPublishRightAfterHello(t *testing.T) {
+	srv := startTestServer(t, nil, nil)
+	var vals []float64
+	for i := 0; i < 20; i++ {
+		func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, "GET", "http://"+srv.Addr()+"/stream", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			r := bufio.NewReader(resp.Body)
+			if event, _ := readEvent(t, r); event != "hello" {
+				t.Fatalf("first event %q, want hello", event)
+			}
+			// Each publish adds one in-deadline sample: one samples frame,
+			// no alert.
+			vals = append(vals, 0.5)
+			srv.PublishTimeseries(dumpWith(t, "system.lat_norm.p95", vals...))
+			if event, data := readEvent(t, r); event != "samples" {
+				t.Fatalf("event after publish = %q %q; want samples", event, data)
+			}
+		}()
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"jumanji"
 	"jumanji/internal/chaos"
 	"jumanji/internal/harness"
+	"jumanji/internal/obs"
 	"jumanji/internal/parallel"
 	"jumanji/internal/sweep"
 )
@@ -207,14 +208,13 @@ func compareWorkload(sp *Spec) func(jumanji.Options) (jumanji.Workload, error) {
 // harnessOptions maps a normalized figure/table spec onto the harness's
 // protocol scale.
 func harnessOptions(sp *Spec, env Env) harness.Options {
-	o := harness.Options{
+	return harness.Options{
 		Mixes: sp.Mixes, Epochs: sp.Epochs, Warmup: sp.Warmup, Seed: sp.Seed,
 		Parallel: 1, // serial cells: deterministic journal record order
 		Engine:   env.Engine,
 		Chaos:    env.Chaos,
-		Progress: env.Progress,
+		Sinks:    obs.Sinks{Progress: env.Progress},
 	}
-	return o
 }
 
 // validateScale fills QuickOptions defaults into a figure/table spec.

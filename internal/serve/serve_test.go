@@ -555,6 +555,19 @@ func TestDrainRejectsNewSubmissions(t *testing.T) {
 	reg, release := blockingRegistry(t)
 	s, base := startServer(t, func(c *Config) { c.Registry = reg })
 	ack, _ := submit(t, base, &Spec{Type: "block", Seed: 1})
+	// The drain must find the run in progress: an experiment the dispatcher
+	// has not admitted yet stays queued across a drain, a different case.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		state := s.exps[ack.ID].State
+		s.mu.Unlock()
+		if state == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("blocked experiment never started running (state %q)", state)
+		}
+	}
 	done := make(chan error, 1)
 	go func() { done <- s.Drain(context.Background()) }()
 	// Drain trips the stopper; the blocking run notices within ~5ms and

@@ -485,6 +485,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before reading the state hello reports: a transition after
+	// the read is then broadcast to this subscriber, never lost between
+	// hello and the subscription.
+	sub := e.hub.Subscribe()
+	defer e.hub.Unsubscribe(sub)
 	s.mu.Lock()
 	s.streamSeq++
 	seq := s.streamSeq
@@ -498,8 +503,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Write(statusz.SSEEvent("hello", map[string]string{"id": e.ID, "state": state})) //nolint:errcheck
 	fl.Flush()
 
-	sub := e.hub.Subscribe()
-	defer e.hub.Unsubscribe(sub)
 	write := func(msg []byte) bool {
 		if _, err := w.Write(msg); err != nil {
 			return false

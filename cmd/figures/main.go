@@ -118,10 +118,11 @@ func run() int {
 
 	// render runs one figure or table, absorbing the sweep engine's
 	// control-flow panics: a degraded sweep (reported once, at the end) or
-	// single-cell repro completion. rc() folds everything into the exit
-	// status after the journal is flushed.
+	// single-cell repro completion. An error (an unknown figure or table) is
+	// a usage error. rc folds everything into the exit status after the
+	// journal is flushed.
 	rc, onlyDone := 0, false
-	render := func(args string, f func() int) {
+	render := func(args string, f func() error) {
 		if onlyDone {
 			return
 		}
@@ -138,33 +139,26 @@ func run() int {
 				panic(r)
 			}
 		}()
-		if code := f(); code > rc {
-			rc = code
+		if err := f(); err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			rc = 2
 		}
 	}
 
 	switch {
 	case *all:
-		for _, f := range []int{4, 5, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19} {
-			f := f
-			render(fmt.Sprintf(" -fig %d", f), func() int { return renderFig(f, o) })
+		for _, f := range harness.Figures() {
+			render(fmt.Sprintf(" -fig %d", f), func() error { return harness.Render(os.Stdout, f, o) })
 		}
-		for _, t := range []int{1, 2, 3} {
-			t := t
-			render(fmt.Sprintf(" -table %d", t), func() int { return renderTable(t, o) })
+		for _, t := range harness.Tables() {
+			render(fmt.Sprintf(" -table %d", t), func() error { return harness.RenderTableN(os.Stdout, t, o) })
 		}
 	case *fig != 0 && *toCSV:
-		render(fmt.Sprintf(" -fig %d -csv", *fig), func() int {
-			if err := harness.CSV(os.Stdout, *fig, o); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				return 2
-			}
-			return 0
-		})
+		render(fmt.Sprintf(" -fig %d -csv", *fig), func() error { return harness.CSV(os.Stdout, *fig, o) })
 	case *fig != 0:
-		render(fmt.Sprintf(" -fig %d", *fig), func() int { return renderFig(*fig, o) })
+		render(fmt.Sprintf(" -fig %d", *fig), func() error { return harness.Render(os.Stdout, *fig, o) })
 	case *table != 0:
-		render(fmt.Sprintf(" -table %d", *table), func() int { return renderTable(*table, o) })
+		render(fmt.Sprintf(" -table %d", *table), func() error { return harness.RenderTableN(os.Stdout, *table, o) })
 	default:
 		flag.Usage()
 		return 2
@@ -199,62 +193,10 @@ func run() int {
 	return rc
 }
 
-func renderFig(n int, o harness.Options) int {
-	w := os.Stdout
-	switch n {
-	case 4:
-		harness.Fig4(o).Render(w)
-	case 5:
-		harness.RenderFig5(w, harness.Fig5(o))
-	case 8:
-		harness.RenderFig8(w, harness.Fig8(o))
-	case 9:
-		harness.RenderFig9(w, harness.Fig9(o))
-	case 11:
-		harness.Fig11(o).Render(w)
-	case 12:
-		harness.Fig12(o).Render(w)
-	case 13:
-		harness.Fig13(o).Render(w)
-	case 14:
-		harness.RenderFig14(w, harness.Fig14(o))
-	case 15:
-		harness.RenderFig15(w, harness.Fig15(o))
-	case 16:
-		harness.RenderFig16(w, harness.Fig16(o))
-	case 17:
-		harness.RenderFig17(w, harness.Fig17(o))
-	case 18:
-		harness.RenderFig18(w, harness.Fig18(o))
-	case 19:
-		harness.RenderFig19(w, harness.Fig19(o))
-	default:
-		fmt.Fprintf(os.Stderr, "figures: no figure %d (the paper's evaluation figures are 4, 5, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18; 19 is the big-topology scaling study)\n", n)
-		return 2
-	}
-	return 0
-}
-
 // parseDims parses a "WxH" topology flag.
 func parseDims(s string) (w, h int, err error) {
 	if n, _ := fmt.Sscanf(s, "%dx%d", &w, &h); n != 2 || w <= 0 || h <= 0 {
 		return 0, 0, fmt.Errorf("invalid mesh %q (want WxH, e.g. 16x16)", s)
 	}
 	return w, h, nil
-}
-
-func renderTable(n int, o harness.Options) int {
-	w := os.Stdout
-	switch n {
-	case 1:
-		harness.RenderTable1(w, harness.Table1(o))
-	case 2:
-		harness.RenderTable2(w)
-	case 3:
-		harness.RenderTable3(w)
-	default:
-		fmt.Fprintf(os.Stderr, "figures: no table %d\n", n)
-		return 2
-	}
-	return 0
 }

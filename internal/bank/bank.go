@@ -65,11 +65,6 @@ type Config struct {
 	Seed     int64 // randomness for BRRIP's infrequent near insertions
 }
 
-// DefaultConfig returns the Table II bank: 1 MB, 32-way, 64 B lines, DRRIP.
-func DefaultConfig() Config {
-	return Config{Sets: 512, Ways: 32, LineSize: 64, Policy: DRRIP}
-}
-
 // line is one cache line's bookkeeping.
 type line struct {
 	tag   uint64
@@ -165,9 +160,6 @@ func New(cfg Config) *Bank {
 	b.setMask = uint64(cfg.Sets - 1)
 	return b
 }
-
-// Config returns the bank's configuration.
-func (b *Bank) Config() Config { return b.cfg }
 
 // SizeBytes returns the bank's capacity in bytes.
 func (b *Bank) SizeBytes() uint64 {
@@ -284,32 +276,6 @@ func (b *Bank) access(addr uint64, p PartitionID, write bool) bool {
 	b.updateDueling(si)
 	b.fill(si, tag, p, write)
 	return false
-}
-
-// Probe reports whether addr is present without updating any state.
-// Attackers cannot use Probe (a real cache access always updates
-// replacement state); it exists for tests and invariant checks.
-func (b *Bank) Probe(addr uint64) bool {
-	si := b.setIndex(addr)
-	tag := b.tag(addr)
-	for _, l := range b.sets[si] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// OwnerOf returns the partition holding addr and whether it is cached.
-func (b *Bank) OwnerOf(addr uint64) (PartitionID, bool) {
-	si := b.setIndex(addr)
-	tag := b.tag(addr)
-	for _, l := range b.sets[si] {
-		if l.valid && l.tag == tag {
-			return l.part, true
-		}
-	}
-	return PartitionNone, false
 }
 
 func (b *Bank) statsFor(p PartitionID) *Stats {
@@ -456,30 +422,12 @@ func (b *Bank) findVictim(set []line, mask uint64) int {
 	}
 }
 
-// FlushPartition invalidates every line owned by p and returns the count.
-// Jumanji flushes shared banks on VM context switches when VMs outnumber
-// banks (Sec. IV-B).
-func (b *Bank) FlushPartition(p PartitionID) int {
-	return b.invalidate(func(_ uint64, l *line) bool { return l.part == p })
-}
-
-// FlushAll invalidates the whole bank and returns the number of lines dropped.
-func (b *Bank) FlushAll() int {
-	return b.invalidate(func(_ uint64, _ *line) bool { return true })
-}
-
 // InvalidateWhere walks the array and invalidates lines whose reconstructed
-// base address satisfies pred, returning the count. This models the
-// background invalidation walk Jigsaw's hardware performs when data
-// placement changes (Sec. IV-A "Coherence").
+// base address, ((tag << setBits) | set) << setShift, satisfies pred,
+// returning the count. This models the background invalidation walk
+// Jigsaw's hardware performs when data placement changes (Sec. IV-A
+// "Coherence").
 func (b *Bank) InvalidateWhere(pred func(lineAddr uint64) bool) int {
-	return b.invalidate(func(addr uint64, _ *line) bool { return pred(addr) })
-}
-
-// invalidate walks every valid line, invalidating those for which pred
-// returns true. The first argument to pred is the line's reconstructed base
-// address: addr = ((tag << setBits) | set) << setShift.
-func (b *Bank) invalidate(pred func(addr uint64, l *line) bool) int {
 	setBits := uint(log2(uint64(b.cfg.Sets)))
 	n := 0
 	for si := range b.sets {
@@ -489,7 +437,7 @@ func (b *Bank) invalidate(pred func(addr uint64, l *line) bool) int {
 				continue
 			}
 			addr := ((l.tag << setBits) | uint64(si)) << b.setShift
-			if pred(addr, l) {
+			if pred(addr) {
 				l.valid = false
 				n++
 			}
@@ -509,26 +457,4 @@ func (b *Bank) OccupancyOf(p PartitionID) int {
 		}
 	}
 	return n
-}
-
-// Partitions returns the IDs of partitions that currently hold any line or
-// have a way mask configured. The security vulnerability metric counts the
-// distinct untrusted partitions occupying a bank.
-func (b *Bank) Partitions() []PartitionID {
-	seen := make(map[PartitionID]bool)
-	for si := range b.sets {
-		for w := range b.sets[si] {
-			if b.sets[si][w].valid {
-				seen[b.sets[si][w].part] = true
-			}
-		}
-	}
-	for p := range b.masks {
-		seen[p] = true
-	}
-	out := make([]PartitionID, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	return out
 }

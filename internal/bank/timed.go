@@ -46,11 +46,3 @@ func (t *TimedBank) AccessTimed(addr uint64, p PartitionID, done func(AccessResu
 		}
 	})
 }
-
-// PortQueueLen returns the number of requests currently waiting for a port.
-func (t *TimedBank) PortQueueLen() int { return t.ports.QueueLen() }
-
-// PortStats returns (served, totalQueuedCycles) for the bank's ports.
-func (t *TimedBank) PortStats() (served, queuedCycles uint64) {
-	return t.ports.TotalServed, t.ports.TotalQueuedCycles
-}

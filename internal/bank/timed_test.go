@@ -64,3 +64,8 @@ func TestTimedBankFunctionalStateShared(t *testing.T) {
 		t.Error("second timed access to same line should hit")
 	}
 }
+
+// PortStats returns (served, totalQueuedCycles) for the bank's ports.
+func (t *TimedBank) PortStats() (served, queuedCycles uint64) {
+	return t.ports.TotalServed, t.ports.TotalQueuedCycles
+}

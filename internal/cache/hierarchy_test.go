@@ -21,10 +21,18 @@ func testConfig() Config {
 
 func newTestHierarchy() *Hierarchy {
 	h := New(testConfig())
-	// Route everything to bank 0 by default for deterministic tests.
-	h.VTB().SetDefaultVC(0)
-	h.VTB().Install(0, vtb.SingleBank(0))
+	// Route every test address to bank 0 for deterministic tests.
+	h.VTB().MapRange(0, testSpan, 0)
+	h.VTB().Install(0, singleBank(0))
 	return h
+}
+
+// testSpan is the address range every test address falls in.
+const testSpan = 1 << 20
+
+// singleBank returns a descriptor placing the whole VC in bank b.
+func singleBank(b topo.TileID) vtb.Descriptor {
+	return vtb.NewDescriptor(map[topo.TileID]float64{b: 1})
 }
 
 func TestAccessLevels(t *testing.T) {
@@ -70,7 +78,7 @@ func TestLLCHitFromOtherCore(t *testing.T) {
 
 func TestHopsAccounting(t *testing.T) {
 	h := newTestHierarchy()
-	h.VTB().Install(0, vtb.SingleBank(3)) // bank 3 is 2 hops from core 0 on 2x2
+	h.VTB().Install(0, singleBank(3)) // bank 3 is 2 hops from core 0 on 2x2
 	out := h.Access(0, 0x3000, 0)
 	if out.Hops != 2 || out.Bank != 3 {
 		t.Errorf("outcome = %+v, want 2 hops to bank 3", out)
@@ -126,7 +134,7 @@ func TestInstallPlacementInvalidatesMovedLines(t *testing.T) {
 	}
 	// Move VC 0 entirely from bank 0 to bank 1: all its lines must leave
 	// bank 0.
-	n := h.InstallPlacement(0, vtb.SingleBank(1))
+	n := h.InstallPlacement(0, singleBank(1))
 	if n != len(addrs) {
 		t.Errorf("InstallPlacement invalidated %d LLC lines, want %d", n, len(addrs))
 	}
@@ -139,8 +147,8 @@ func TestInstallPlacementInvalidatesMovedLines(t *testing.T) {
 
 func TestInstallPlacementFirstTimeNoWalk(t *testing.T) {
 	h := New(testConfig())
-	h.VTB().SetDefaultVC(0)
-	if n := h.InstallPlacement(0, vtb.SingleBank(0)); n != 0 {
+	h.VTB().MapRange(0, testSpan, 0)
+	if n := h.InstallPlacement(0, singleBank(0)); n != 0 {
 		t.Errorf("first install invalidated %d lines", n)
 	}
 }
@@ -148,7 +156,7 @@ func TestInstallPlacementFirstTimeNoWalk(t *testing.T) {
 func TestInstallPlacementIdenticalNoWalk(t *testing.T) {
 	h := newTestHierarchy()
 	h.Access(0, 0x1000, 0)
-	if n := h.InstallPlacement(0, vtb.SingleBank(0)); n != 0 {
+	if n := h.InstallPlacement(0, singleBank(0)); n != 0 {
 		t.Errorf("identical reinstall invalidated %d lines", n)
 	}
 	if out := h.Access(0, 0x1000, 0); out.Level != LevelL1 {
@@ -156,20 +164,8 @@ func TestInstallPlacementIdenticalNoWalk(t *testing.T) {
 	}
 }
 
-func TestFlushBank(t *testing.T) {
-	h := newTestHierarchy()
-	h.Access(0, 0x1000, 0)
-	h.Access(0, 0x2000, 0)
-	if n := h.FlushBank(0); n != 2 {
-		t.Errorf("FlushBank = %d, want 2", n)
-	}
-	if out := h.Access(0, 0x1000, 0); out.Level != LevelMemory {
-		t.Errorf("after flush: %v, want Memory (privates flushed too)", out.Level)
-	}
-}
-
 func TestUnmappedAddressesStripeAcrossBanks(t *testing.T) {
-	h := New(testConfig()) // no default VC, no mappings
+	h := New(testConfig()) // no mappings
 	seen := map[topo.TileID]bool{}
 	for i := uint64(0); i < 16; i++ {
 		out := h.Access(0, i*64, 0)

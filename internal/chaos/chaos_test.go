@@ -180,6 +180,7 @@ func TestParseErrors(t *testing.T) {
 		"curve-nan",          // no rate or key
 		"curve-nan@0",        // rate out of range
 		"curve-nan@1.5",      // rate out of range
+		"curve-nan@NaN",      // rate out of range
 		"curve-nan@x",        // not a number
 		"panic-cell=x",       // not an integer
 		"no-such-fault@0.5",  // unknown fault

@@ -26,9 +26,10 @@ func benchPlacement(b *testing.B) (*Input, *Placement, *Placement) {
 
 // BenchmarkPlacementOps measures one epoch's worth of Placement accessor
 // traffic: per app the epoch model reads TotalOf, MeanWays, AvgHops and
-// MovedFraction; per bank the validator reads BankUsed; and the security
-// metric walks AppsInBank/VMsSharingBank. allocs/op is the headline number —
-// the dense-layout refactor's acceptance bar is a large reduction here.
+// MovedFraction; per bank the validator reads BankUsed; and each bank's
+// sharing VMs are listed into a fresh slice (AppendVMsSharingBank with a nil
+// dst), the 20 allocs/op. allocs/op is the headline number — the
+// dense-layout refactor's acceptance bar is a large reduction here.
 func BenchmarkPlacementOps(b *testing.B) {
 	in, cur, prev := benchPlacement(b)
 	var sink float64
@@ -45,7 +46,7 @@ func BenchmarkPlacementOps(b *testing.B) {
 		for bk := 0; bk < in.Machine.Banks(); bk++ {
 			id := topo.TileID(bk)
 			sink += cur.BankUsed(id)
-			sink += float64(len(cur.VMsSharingBank(in, id)))
+			sink += float64(len(cur.AppendVMsSharingBank(nil, in, id)))
 		}
 	}
 	_ = sink

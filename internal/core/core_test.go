@@ -175,7 +175,7 @@ func TestSNUCADesignsShareEveryBank(t *testing.T) {
 	for _, p := range []Placer{AdaptivePlacer{}, VMPartPlacer{}} {
 		pl := p.Place(in)
 		for b := 0; b < in.Machine.Banks(); b++ {
-			apps := pl.AppsInBank(topo.TileID(b))
+			apps := pl.AppendAppsInBank(nil, topo.TileID(b))
 			if len(apps) != len(in.Apps) {
 				t.Errorf("%s: bank %d holds %d apps, want all %d", p.Name(), b, len(apps), len(in.Apps))
 			}
@@ -401,9 +401,9 @@ func TestVMsAndAppsOf(t *testing.T) {
 	if len(vms) != 3 || vms[0] != 0 || vms[2] != 2 {
 		t.Errorf("VMs = %v", vms)
 	}
-	lat, batch := in.AppsOf(1)
+	lat, batch := in.AppendAppsOf(nil, nil, 1)
 	if len(lat) != 1 || len(batch) != 2 {
-		t.Errorf("AppsOf(1) = %v, %v", lat, batch)
+		t.Errorf("AppendAppsOf(1) = %v, %v", lat, batch)
 	}
 	if len(in.LatCritApps()) != 3 || len(in.BatchApps()) != 6 {
 		t.Error("LatCritApps/BatchApps counts wrong")
@@ -426,8 +426,8 @@ func TestPlacementAccessors(t *testing.T) {
 	if got := pl.BankUsed(5); got != 300 {
 		t.Errorf("BankUsed = %v", got)
 	}
-	if apps := pl.AppsInBank(5); len(apps) != 1 || apps[0] != 0 {
-		t.Errorf("AppsInBank = %v", apps)
+	if apps := pl.AppendAppsInBank(nil, 5); len(apps) != 1 || apps[0] != 0 {
+		t.Errorf("AppendAppsInBank = %v", apps)
 	}
 }
 
@@ -475,7 +475,7 @@ func TestOversubscriptionNotUsedWhenVMsFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	in := testWorkload(4, 4, rng)
 	pl := JumanjiPlacer{AllowOversubscription: true}.Place(in)
-	if pl.TimeSharedCount() != 0 {
+	if timeSharedCount(pl) != 0 {
 		t.Error("time-sharing engaged although VMs fit in banks")
 	}
 	if !pl.IsVMIsolated(in) {
@@ -592,4 +592,56 @@ func TestTradePlacerName(t *testing.T) {
 	if p.Name() == "" {
 		t.Error("empty name")
 	}
+}
+
+// timeSharedCount returns how many of pl's applications are time-shared.
+func timeSharedCount(pl *Placement) int {
+	n := 0
+	for app := 0; app < pl.napps; app++ {
+		if pl.TimeShared(AppID(app)) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// AppendAppsInBank appends the applications holding space in bank b to dst,
+// ascending, and returns it. Overlay applications are excluded: they are not
+// physically in the bank. The placement tests read banks through it; with a
+// reused dst[:0] it does not allocate.
+func (p *Placement) AppendAppsInBank(dst []AppID, b topo.TileID) []AppID {
+	for app := 0; app < p.napps; app++ {
+		if p.overlay[app] {
+			continue
+		}
+		if p.alloc[app*p.banks+int(b)] > 0 {
+			dst = append(dst, AppID(app))
+		}
+	}
+	return dst
+}
+
+// AppendVMsSharingBank appends the distinct VMs with physical space in bank
+// b to dst (ascending) and returns it. Passing a reused dst[:0] makes the
+// call allocation-free.
+func (p *Placement) AppendVMsSharingBank(dst []VMID, in *Input, b topo.TileID) []VMID {
+	start := len(dst)
+	for app := 0; app < p.napps; app++ {
+		if p.overlay[app] || p.alloc[app*p.banks+int(b)] <= 0 {
+			continue
+		}
+		vm := in.Apps[app].VM
+		seen := false
+		for _, v := range dst[start:] {
+			if v == vm {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			dst = append(dst, vm)
+		}
+	}
+	sortVMIDs(dst[start:])
+	return dst
 }

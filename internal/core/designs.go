@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jumanji/internal/lookahead"
-	"jumanji/internal/mrc"
 	"jumanji/internal/obs"
 )
 
@@ -210,16 +209,6 @@ func placeSharedBatchPool(in *Input, pl *Placement, batch []AppID, poolWays floa
 // allocation quantum of S-NUCA way-partitioning (Intel CAT).
 func wayStripeBytes(in *Input) float64 {
 	return in.Machine.WayBytes() * float64(in.Machine.Banks())
-}
-
-// combinedBatchCurve builds the VM-combined absolute miss-rate curve using
-// the Whirlpool model (Sec. VI-D), on the way-stripe grid.
-func combinedBatchCurve(in *Input, batch []AppID) mrc.Curve {
-	curves := make([]mrc.Curve, len(batch))
-	for i, app := range batch {
-		curves[i] = in.Apps[app].MissRateCurve()
-	}
-	return mrc.Combine(curves...)
 }
 
 func mustValidate(in *Input) {

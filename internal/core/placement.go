@@ -31,7 +31,6 @@ type Placement struct {
 	overlay       []bool
 	groupWays     []float64
 	timeShared    []float64
-	nTimeShared   int
 
 	// Lazily maintained per-app totals and per-bank used-bytes. Both are
 	// recomputed on demand in ascending index order (never accumulated
@@ -66,7 +65,6 @@ func (p *Placement) Reset(m Machine) {
 	p.overlay = p.overlay[:0]
 	p.groupWays = p.groupWays[:0]
 	p.timeShared = p.timeShared[:0]
-	p.nTimeShared = 0
 	p.totals = p.totals[:0]
 	p.totalsDirty = p.totalsDirty[:0]
 	if cap(p.used) < p.banks {
@@ -190,9 +188,6 @@ func (p *Placement) GroupWays(app AppID) float64 {
 // every switch.
 func (p *Placement) SetTimeShared(app AppID, share float64) {
 	p.ensureApp(app)
-	if p.timeShared[app] == 0 && share > 0 {
-		p.nTimeShared++
-	}
 	p.timeShared[app] = share
 }
 
@@ -204,9 +199,6 @@ func (p *Placement) TimeShared(app AppID) float64 {
 	}
 	return p.timeShared[app]
 }
-
-// TimeSharedCount returns how many applications are time-shared.
-func (p *Placement) TimeSharedCount() int { return p.nTimeShared }
 
 // TotalOf returns app's total allocated bytes.
 //
@@ -278,27 +270,6 @@ func (p *Placement) BanksOf(app AppID) (banks []topo.TileID, bytes []float64) {
 		}
 	}
 	return banks, bytes
-}
-
-// AppsInBank returns the applications holding space in bank b, ascending.
-// Overlay applications are excluded: they are not physically in the bank.
-func (p *Placement) AppsInBank(b topo.TileID) []AppID {
-	return p.AppendAppsInBank(nil, b)
-}
-
-// AppendAppsInBank appends the applications holding space in bank b
-// (ascending, overlay excluded) to dst and returns it. Passing a reused
-// dst[:0] makes the per-epoch security sweep allocation-free.
-func (p *Placement) AppendAppsInBank(dst []AppID, b topo.TileID) []AppID {
-	for app := 0; app < p.napps; app++ {
-		if p.overlay[app] {
-			continue
-		}
-		if p.alloc[app*p.banks+int(b)] > 0 {
-			dst = append(dst, AppID(app))
-		}
-	}
-	return dst
 }
 
 // AvgHops returns the capacity-weighted mean one-way hop distance from
@@ -394,36 +365,6 @@ func (p *Placement) Validate(in *Input) error {
 		}
 	}
 	return nil
-}
-
-// VMsSharingBank returns the distinct VMs with physical space in bank b.
-func (p *Placement) VMsSharingBank(in *Input, b topo.TileID) []VMID {
-	return p.AppendVMsSharingBank(nil, in, b)
-}
-
-// AppendVMsSharingBank appends the distinct VMs with physical space in bank
-// b to dst (ascending) and returns it. Passing a reused dst[:0] avoids the
-// per-call allocation of VMsSharingBank.
-func (p *Placement) AppendVMsSharingBank(dst []VMID, in *Input, b topo.TileID) []VMID {
-	start := len(dst)
-	for app := 0; app < p.napps; app++ {
-		if p.overlay[app] || p.alloc[app*p.banks+int(b)] <= 0 {
-			continue
-		}
-		vm := in.Apps[app].VM
-		seen := false
-		for _, v := range dst[start:] {
-			if v == vm {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			dst = append(dst, vm)
-		}
-	}
-	sortVMIDs(dst[start:])
-	return dst
 }
 
 // IsVMIsolated reports whether no bank is shared by two VMs — Jumanji's

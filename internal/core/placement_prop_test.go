@@ -328,7 +328,7 @@ func comparePair(t *testing.T, in *Input, dense, densePrev *Placement, ref, refP
 		if got, want := dense.BankUsed(id), ref.BankUsed(id); got != want {
 			t.Fatalf("BankUsed(%d) = %v, ref %v", b, got, want)
 		}
-		ga, wa := dense.AppsInBank(id), ref.AppsInBank(id)
+		ga, wa := dense.AppendAppsInBank(nil, id), ref.AppsInBank(id)
 		if len(ga) != len(wa) {
 			t.Fatalf("AppsInBank(%d): %v, ref %v", b, ga, wa)
 		}
@@ -337,7 +337,7 @@ func comparePair(t *testing.T, in *Input, dense, densePrev *Placement, ref, refP
 				t.Fatalf("AppsInBank(%d): %v, ref %v", b, ga, wa)
 			}
 		}
-		gv, wv := dense.VMsSharingBank(in, id), ref.VMsSharingBank(in, id)
+		gv, wv := dense.AppendVMsSharingBank(nil, in, id), ref.VMsSharingBank(in, id)
 		if len(gv) != len(wv) {
 			t.Fatalf("VMsSharingBank(%d): %v, ref %v", b, gv, wv)
 		}

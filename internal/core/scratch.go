@@ -76,8 +76,10 @@ func putPlaceScratch(s *placeScratch) {
 	placeScratchPool.Put(s)
 }
 
-// combinedBatchCurveArena is combinedBatchCurve with every intermediate and
-// the result backed by s.arena (valid until the scratch is returned).
+// combinedBatchCurveArena builds the VM-combined absolute miss-rate curve of
+// batch using the Whirlpool model (Sec. VI-D), on the way-stripe grid, with
+// every intermediate and the result backed by s.arena (valid until the
+// scratch is returned).
 func combinedBatchCurveArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve {
 	curves := s.curves[:0]
 	for _, app := range batch {
@@ -88,8 +90,9 @@ func combinedBatchCurveArena(s *placeScratch, in *Input, batch []AppID) mrc.Curv
 	return s.arena.Combine(curves...)
 }
 
-// missRateHullArena builds app's absolute miss-rate convex hull
-// (MissRateCurve().ConvexHull()) in s.arena.
+// missRateHullArena builds the convex hull of app's absolute miss-rate curve
+// (miss ratio × access rate, the quantity lookahead trades off across
+// applications) in s.arena.
 func missRateHullArena(s *placeScratch, in *Input, app AppID) mrc.Curve {
 	spec := in.Apps[app]
 	mr := spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate)

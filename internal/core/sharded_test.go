@@ -130,7 +130,7 @@ func TestShardedOversubscribedDelegates(t *testing.T) {
 	}
 	flat := JumanjiPlacer{AllowOversubscription: true}.Place(in)
 	requireBitwiseEqual(t, in, flat, pl, "oversubscribed")
-	if pl.TimeSharedCount() == 0 {
+	if timeSharedCount(pl) == 0 {
 		t.Fatal("oversubscribed sharded placement marked nothing time-shared")
 	}
 }

@@ -42,12 +42,6 @@ type AppSpec struct {
 	AccessRate float64
 }
 
-// MissRateCurve returns the absolute miss-rate curve: miss ratio × access
-// rate, the quantity lookahead trades off across applications.
-func (a AppSpec) MissRateCurve() mrc.Curve {
-	return a.MissRatio.Scale(a.AccessRate)
-}
-
 // Machine describes the LLC the placers manage.
 type Machine struct {
 	Mesh        topo.Mesh
@@ -157,14 +151,9 @@ func sortVMIDs(v []VMID) {
 	}
 }
 
-// AppsOf returns the app IDs in vm, split into latency-critical and batch.
-func (in *Input) AppsOf(vm VMID) (latCrit, batch []AppID) {
-	return in.AppendAppsOf(nil, nil, vm)
-}
-
-// AppendAppsOf is AppsOf appending to latDst and batchDst (pass dst[:0] to
-// reuse backing across epochs, per the Append protocol) and returning the
-// extended slices.
+// AppendAppsOf appends the app IDs in vm, split into latency-critical and
+// batch, to latDst and batchDst (pass dst[:0] to reuse backing across
+// epochs, per the Append protocol) and returns the extended slices.
 func (in *Input) AppendAppsOf(latDst, batchDst []AppID, vm VMID) (latCrit, batch []AppID) {
 	for i, a := range in.Apps {
 		if a.VM != vm {

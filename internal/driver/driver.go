@@ -159,9 +159,6 @@ func New(cfg Config) (*Driver, error) {
 	return d, nil
 }
 
-// Hierarchy exposes the underlying caches for inspection in tests.
-func (d *Driver) Hierarchy() *cache.Hierarchy { return d.hier }
-
 // Placement returns the most recent placement.
 func (d *Driver) Placement() *core.Placement { return d.placed }
 

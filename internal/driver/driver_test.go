@@ -163,7 +163,7 @@ func TestJumanjiIsolationEndToEnd(t *testing.T) {
 	}
 	// Physically verify: occupancy of each VM's partitions per bank.
 	for b := 0; b < m.Banks(); b++ {
-		bankRef := d.Hierarchy().LLCBank(topo.TileID(b))
+		bankRef := d.hier.LLCBank(topo.TileID(b))
 		vmsPresent := map[core.VMID]bool{}
 		for i, a := range apps {
 			if bankRef.OccupancyOf(bank.PartitionID(i)) > 0 {
@@ -206,10 +206,11 @@ func TestValidateModelAgainstDetailed(t *testing.T) {
 	// detailed hierarchy within modest tolerances for all four canonical
 	// reuse patterns.
 	for _, p := range []core.Placer{core.JumanjiPlacer{}, core.JigsawPlacer{}} {
-		rows, err := Validate(StandardValidationConfig(p), 6)
+		d, err := New(StandardValidationConfig(p))
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
+		rows := ValidateDriver(d, 6)
 		for _, r := range rows {
 			if r.LLCShare < 0.02 {
 				// Private caches filter essentially everything: the LLC

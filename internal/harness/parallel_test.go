@@ -85,7 +85,7 @@ func TestParallelSinksEquivalence(t *testing.T) {
 	}
 	if db, err := tsdb.Read(strings.NewReader(ts4)); err != nil {
 		t.Errorf("merged tsdb dump fails to read back: %v", err)
-	} else if db.NumSeries() == 0 {
+	} else if len(db.Names()) == 0 {
 		t.Error("flight recorder recorded no series")
 	}
 	if _, err := obs.ValidateEventLog([]byte(e4)); err != nil {

@@ -47,7 +47,7 @@ func BenchmarkLookaheadAllocateNonConvex(b *testing.B) {
 	reqs := benchRequests(rng, 4, 32)
 	for i := range reqs {
 		// Re-introduce a cliff so IsConvex fails and the jump scan runs.
-		m := reqs[i].Curve.Clone()
+		m := mrc.Curve{Unit: reqs[i].Curve.Unit, M: append([]float64(nil), reqs[i].Curve.M...)}
 		m.M[len(m.M)/2] = m.M[0]
 		reqs[i].Curve = m
 	}

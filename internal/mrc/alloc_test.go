@@ -24,7 +24,7 @@ func TestAllocGuardCombine(t *testing.T) {
 	c := New(1<<20, []float64{0.7, 0.4, 0.25}).ConvexHull()
 	var out Curve
 	allocs := testing.AllocsPerRun(200, func() {
-		out = Combine(a, b, c)
+		out = (*Arena)(nil).Combine(a, b, c)
 	})
 	allocSink = out.M[0]
 	// Combine allocates the result curve plus one convex hull per input

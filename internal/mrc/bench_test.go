@@ -92,6 +92,6 @@ func BenchmarkMRCCombine(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Combine(curves...)
+		(*Arena)(nil).Combine(curves...)
 	}
 }

@@ -57,7 +57,7 @@ func FuzzCombine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		ca := New(1, curveFromBytes(a))
 		cb := New(1, curveFromBytes(b))
-		comb := Combine(ca, cb)
+		comb := (*Arena)(nil).Combine(ca, cb)
 		wantLen := len(ca.M) - 1 + len(cb.M) - 1 + 1
 		if len(comb.M) != wantLen {
 			t.Fatalf("combined length %d, want %d", len(comb.M), wantLen)

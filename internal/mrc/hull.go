@@ -25,8 +25,8 @@ import "math"
 // bookkeeping below).
 //
 // The returned curve aliases updater-owned backing, valid until the next
-// Update; deep-copy (Curve.Clone) to keep it longer. A HullUpdater is not
-// safe for concurrent use. The zero value is ready to use.
+// Update; copy its M to keep it longer. A HullUpdater is not safe for
+// concurrent use. The zero value is ready to use.
 type HullUpdater struct {
 	unit float64
 	raw  []float64 // previous epoch's input curve

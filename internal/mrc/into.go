@@ -18,17 +18,6 @@ var (
 	hullScratchPool = sync.Pool{New: func() any { return new([]float64) }}
 )
 
-// CloneInto copies the curve into dst and returns a curve backed by dst.
-// dst must have exactly len(c.M) elements. Passing the receiver's own M is
-// harmless (the copy is a no-op and the result aliases it).
-func (c Curve) CloneInto(dst []float64) Curve {
-	if len(dst) != len(c.M) {
-		panic("mrc: CloneInto dst length mismatch")
-	}
-	copy(dst, c.M)
-	return Curve{Unit: c.Unit, M: dst}
-}
-
 // ScaleInto writes the curve scaled by f into dst and returns a curve backed
 // by dst. dst must have exactly len(c.M) elements; f must be non-negative.
 // dst may alias the receiver's M (each element is read before written).
@@ -121,8 +110,8 @@ func resampleHull(dst []float64, hull []pt) {
 	}
 }
 
-// CombineInto is Combine with the result written into dst, which must have
-// exactly (sum of input steps)+1 elements. Input hulls and the gains list
+// CombineInto is Arena.Combine with the result written into dst, which must
+// have exactly (sum of input steps)+1 elements. Input hulls and the gains list
 // live in pooled scratch, so a warmed call allocates nothing. dst must not
 // share backing with any input curve.
 func CombineInto(dst []float64, curves ...Curve) Curve {

@@ -45,7 +45,7 @@ func TestIntoMatchesAllocating(t *testing.T) {
 		}
 	}
 	cs := testCurves()
-	want := Combine(cs...)
+	want := (*Arena)(nil).Combine(cs...)
 	got := CombineInto(make([]float64, len(want.M)), cs...)
 	if !bitsEqual(got.M, want.M) {
 		t.Errorf("CombineInto mismatch: %v vs %v", got.M, want.M)
@@ -116,13 +116,13 @@ func TestAllocGuardArena(t *testing.T) {
 	// Warm the arena slabs once.
 	a.Reset()
 	_ = a.ConvexHull(c)
-	_ = a.Scale(c, 2)
+	_ = c.ScaleInto(a.Alloc(len(c.M)), 2)
 	var out Curve
 	if allocs := testing.AllocsPerRun(200, func() {
 		a.Reset()
-		out = a.ConvexHull(a.Scale(c, 2))
+		out = a.ConvexHull(c.ScaleInto(a.Alloc(len(c.M)), 2))
 	}); allocs != 0 {
-		t.Errorf("Arena Scale+ConvexHull allocated %v times per call, want 0", allocs)
+		t.Errorf("Arena ScaleInto+ConvexHull allocated %v times per call, want 0", allocs)
 	}
 	allocSink = out.M[0]
 }
@@ -192,4 +192,21 @@ func TestHullUpdaterReset(t *testing.T) {
 			t.Fatalf("after switch to b: got %v (unit %g), want %v (unit %g)", got.M, got.Unit, want.M, want.Unit)
 		}
 	}
+}
+
+// Clone returns a deep copy of the curve. The copy never aliases the
+// receiver's backing.
+func (c Curve) Clone() Curve {
+	return c.CloneInto(make([]float64, len(c.M)))
+}
+
+// CloneInto copies the curve into dst and returns a curve backed by dst.
+// dst must have exactly len(c.M) elements. Passing the receiver's own M is
+// harmless (the copy is a no-op and the result aliases it).
+func (c Curve) CloneInto(dst []float64) Curve {
+	if len(dst) != len(c.M) {
+		panic("mrc: CloneInto dst length mismatch")
+	}
+	copy(dst, c.M)
+	return Curve{Unit: c.Unit, M: dst}
 }

@@ -25,15 +25,14 @@ import (
 //
 // Aliasing contract: Curve is a value type with reference semantics — the
 // struct copies on assignment but M is shared backing. Methods returning a
-// Curve therefore come in two flavors. Clone, Scale, Monotone, ConvexHull
-// and Combine always return freshly allocated backing that aliases nothing.
-// The *Into variants (CloneInto, ScaleInto, ConvexHullInto, CombineInto)
-// write into caller-provided backing — typically from an Arena — and the
-// returned curve aliases that backing. ConvexHullInto additionally guarantees
-// its result never aliases its input: passing the receiver's own M as dst is
-// detected and falls back to a fresh allocation (see
-// TestConvexHullIntoNoAlias), so the input curve is never clobbered by the
-// in-place monotone/resample passes.
+// Curve therefore come in two flavors. Scale and ConvexHull always return
+// freshly allocated backing that aliases nothing. The *Into variants
+// (ScaleInto, ConvexHullInto, CombineInto) write into caller-provided
+// backing — typically from an Arena — and the returned curve aliases that
+// backing. ConvexHullInto additionally guarantees its result never aliases
+// its input: passing the receiver's own M as dst is detected and falls back
+// to a fresh allocation (see TestConvexHullIntoNoAlias), so the input curve
+// is never clobbered by the in-place monotone/resample passes.
 type Curve struct {
 	Unit float64   // bytes of capacity per step
 	M    []float64 // miss rate at each multiple of Unit
@@ -86,12 +85,6 @@ func (c Curve) Eval(size float64) float64 {
 	return c.M[lo]*(1-frac) + c.M[lo+1]*frac
 }
 
-// Clone returns a deep copy of the curve. The copy never aliases the
-// receiver's backing.
-func (c Curve) Clone() Curve {
-	return c.CloneInto(make([]float64, len(c.M)))
-}
-
 // Scale returns a copy of the curve with every miss rate multiplied by f.
 // It panics if f is negative. The copy never aliases the receiver's backing.
 func (c Curve) Scale(f float64) Curve {
@@ -132,19 +125,6 @@ func (c Curve) Validate(requireMonotone bool) error {
 	return nil
 }
 
-// Monotone returns a copy of the curve forced to be non-increasing by
-// propagating running minima left to right. Measured curves can wiggle due
-// to sampling noise; allocation algorithms assume more capacity never hurts.
-func (c Curve) Monotone() Curve {
-	out := c.Clone()
-	for i := 1; i < len(out.M); i++ {
-		if out.M[i] > out.M[i-1] {
-			out.M[i] = out.M[i-1]
-		}
-	}
-	return out
-}
-
 // ConvexHull returns the lower convex hull of the curve: the largest convex
 // function that is pointwise <= a monotone version of the curve at the sample
 // points. Per Talus [7] this models a cache (or replacement policy like
@@ -170,40 +150,6 @@ func (c Curve) IsConvex(eps float64) bool {
 		}
 	}
 	return true
-}
-
-// Add returns the pointwise sum of two curves sampled on the same grid.
-// It panics on mismatched units or lengths; curves from the same profiler
-// share a grid by construction.
-func Add(a, b Curve) Curve {
-	if a.Unit != b.Unit || len(a.M) != len(b.M) {
-		panic("mrc: Add on mismatched curves")
-	}
-	m := make([]float64, len(a.M))
-	for i := range m {
-		m[i] = a.M[i] + b.M[i]
-	}
-	return Curve{Unit: a.Unit, M: m}
-}
-
-// Combine computes the combined miss curve of several applications sharing a
-// pooled allocation that is optimally partitioned among them — the Whirlpool
-// Appendix-B model the paper uses to form per-VM curves. combined(S) =
-// min over {s_i : sum s_i = S} of sum_i curve_i(s_i).
-//
-// For convex curves the greedy marginal-utility construction is exactly
-// optimal; Combine therefore takes the hull of each input first (which also
-// matches the paper's DRRIP approximation). All inputs must share a unit.
-// The result has steps = sum of the inputs' steps.
-func Combine(curves ...Curve) Curve {
-	if len(curves) == 0 {
-		panic("mrc: Combine of no curves")
-	}
-	totalSteps := 0
-	for _, c := range curves {
-		totalSteps += len(c.M) - 1
-	}
-	return CombineInto(make([]float64, totalSteps+1), curves...)
 }
 
 func min(a, b int) int {

@@ -168,7 +168,7 @@ func TestScaleAndAdd(t *testing.T) {
 func TestCombineTwoIdenticalConvex(t *testing.T) {
 	// Two identical convex curves: combined(2s) = 2*curve(s).
 	c := New(1, []float64{8, 4, 2, 1})
-	comb := Combine(c, c)
+	comb := (*Arena)(nil).Combine(c, c)
 	if len(comb.M) != 7 {
 		t.Fatalf("combined curve has %d points, want 7", len(comb.M))
 	}
@@ -192,7 +192,7 @@ func TestCombineIsOptimalForConvexCurves(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		a := randomConvexCurve(rng, 6)
 		b := randomConvexCurve(rng, 5)
-		comb := Combine(a, b)
+		comb := (*Arena)(nil).Combine(a, b)
 		na, nb := len(a.M)-1, len(b.M)-1
 		ha, hb := a.ConvexHull(), b.ConvexHull()
 		for s := 0; s <= na+nb; s++ {
@@ -235,7 +235,7 @@ func TestCombineMonotoneProperty(t *testing.T) {
 		a := randomConvexCurve(rng, 1+rng.Intn(10))
 		b := randomConvexCurve(rng, 1+rng.Intn(10))
 		c := randomConvexCurve(rng, 1+rng.Intn(10))
-		comb := Combine(a, b, c)
+		comb := (*Arena)(nil).Combine(a, b, c)
 		for i := 1; i < len(comb.M); i++ {
 			if comb.M[i] > comb.M[i-1]+1e-9 {
 				return false
@@ -254,7 +254,7 @@ func TestCombinePanics(t *testing.T) {
 			t.Error("Combine() should panic")
 		}
 	}()
-	Combine()
+	(*Arena)(nil).Combine()
 }
 
 func TestCombineMismatchedUnitsPanics(t *testing.T) {
@@ -263,5 +263,32 @@ func TestCombineMismatchedUnitsPanics(t *testing.T) {
 			t.Error("mismatched units should panic")
 		}
 	}()
-	Combine(New(1, []float64{1, 0}), New(2, []float64{1, 0}))
+	(*Arena)(nil).Combine(New(1, []float64{1, 0}), New(2, []float64{1, 0}))
+}
+
+// Monotone returns a copy of the curve forced to be non-increasing by
+// propagating running minima left to right. Measured curves can wiggle due
+// to sampling noise; allocation algorithms assume more capacity never hurts.
+func (c Curve) Monotone() Curve {
+	out := c.Clone()
+	for i := 1; i < len(out.M); i++ {
+		if out.M[i] > out.M[i-1] {
+			out.M[i] = out.M[i-1]
+		}
+	}
+	return out
+}
+
+// Add returns the pointwise sum of two curves sampled on the same grid.
+// It panics on mismatched units or lengths; curves from the same profiler
+// share a grid by construction.
+func Add(a, b Curve) Curve {
+	if a.Unit != b.Unit || len(a.M) != len(b.M) {
+		panic("mrc: Add on mismatched curves")
+	}
+	m := make([]float64, len(a.M))
+	for i := range m {
+		m[i] = a.M[i] + b.M[i]
+	}
+	return Curve{Unit: a.Unit, M: m}
 }

@@ -44,18 +44,6 @@ func (c Config) HopCycles() sim.Time {
 	return c.RouterDelay + c.LinkDelay
 }
 
-// UncontendedLatency returns the cycles for a message of the given payload
-// to travel `hops` hops with no contention: per-hop router+link delay plus
-// serialization of the remaining flits behind the head flit.
-func (c Config) UncontendedLatency(hops, payloadBytes int) sim.Time {
-	if hops <= 0 {
-		return 0
-	}
-	head := sim.Time(hops) * c.HopCycles()
-	tail := sim.Time(c.Flits(payloadBytes) - 1) // body flits pipeline behind the head
-	return head + tail
-}
-
 // edge is a directed link between adjacent tiles.
 type edge struct {
 	from, to topo.TileID
@@ -117,9 +105,6 @@ func New(eng *sim.Engine, mesh topo.Mesh, cfg Config) *Network {
 	return n
 }
 
-// Config returns the network's timing configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Mesh returns the underlying topology.
 func (n *Network) Mesh() topo.Mesh { return n.mesh }
 
@@ -166,14 +151,4 @@ func (n *Network) Send(from, to topo.TileID, payloadBytes int, done func(latency
 		})
 	}
 	hop(0)
-}
-
-// QueuedCycles returns total cycles messages spent queueing on links —
-// an aggregate congestion measure.
-func (n *Network) QueuedCycles() uint64 {
-	var total uint64
-	for _, s := range n.links {
-		total += s.TotalQueuedCycles
-	}
-	return total
 }

@@ -132,3 +132,25 @@ func TestRouterDelaySensitivity(t *testing.T) {
 		prev = lat
 	}
 }
+
+// UncontendedLatency returns the cycles for a message of the given payload
+// to travel `hops` hops with no contention: per-hop router+link delay plus
+// serialization of the remaining flits behind the head flit.
+func (c Config) UncontendedLatency(hops, payloadBytes int) sim.Time {
+	if hops <= 0 {
+		return 0
+	}
+	head := sim.Time(hops) * c.HopCycles()
+	tail := sim.Time(c.Flits(payloadBytes) - 1) // body flits pipeline behind the head
+	return head + tail
+}
+
+// QueuedCycles returns total cycles messages spent queueing on links —
+// an aggregate congestion measure.
+func (n *Network) QueuedCycles() uint64 {
+	var total uint64
+	for _, s := range n.links {
+		total += s.TotalQueuedCycles
+	}
+	return total
+}

@@ -19,8 +19,9 @@ func TestRecorderCounterDeltas(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("len = %d", s.Len())
 	}
+	samples := db.DumpSeries("system.epochs").Samples
 	for i, want := range []float64{1, 2, 3} {
-		if got := s.At(i); got.Value != want || got.Epoch != int32(i) {
+		if got := samples[i]; got.Value != want || got.Epoch != int32(i) {
 			t.Errorf("sample %d = %+v, want value %g", i, got, want)
 		}
 	}
@@ -36,7 +37,7 @@ func TestRecorderBaselineFromCurrentValues(t *testing.T) {
 	r := NewRecorder(reg, db)
 	c.Inc()
 	r.Sample(0)
-	if got := db.Lookup("system.epochs").At(0).Value; got != 1 {
+	if got := db.DumpSeries("system.epochs").Samples[0].Value; got != 1 {
 		t.Fatalf("epoch-0 delta = %g, want 1 (baseline not taken)", got)
 	}
 }
@@ -53,8 +54,8 @@ func TestRecorderGauge(t *testing.T) {
 	r.Sample(1)
 	g.Set(3.5)
 	r.Sample(2)
-	s := db.Lookup("alloc")
-	if s.Len() != 2 || s.At(0) != (tsdb.Sample{Epoch: 1, Value: 2.5}) || s.At(1) != (tsdb.Sample{Epoch: 2, Value: 3.5}) {
+	s := db.DumpSeries("alloc").Samples
+	if len(s) != 2 || s[0] != (tsdb.Sample{Epoch: 1, Value: 2.5}) || s[1] != (tsdb.Sample{Epoch: 2, Value: 3.5}) {
 		t.Fatalf("gauge series: %+v", db.DumpSeries("alloc"))
 	}
 	if db.Lookup("never_set").Len() != 0 {
@@ -78,7 +79,7 @@ func TestRecorderHistogramQuantiles(t *testing.T) {
 	// Nearest-rank with in-bin interpolation: p50 → rank 50, end of bin 4
 	// (5.0); p95 → rank 95, halfway through bin 9 (9.5); p99 → 9.9.
 	for name, want := range map[string]float64{"lat.p50": 5.0, "lat.p95": 9.5, "lat.p99": 9.9} {
-		got := db.Lookup(name).At(0).Value
+		got := db.DumpSeries(name).Samples[0].Value
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("%s = %g, want %g", name, got, want)
 		}
@@ -93,7 +94,7 @@ func TestRecorderHistogramQuantiles(t *testing.T) {
 	// Epoch 2: only the deltas count. One observation at 1.5.
 	h.Observe(1.5)
 	r.Sample(2)
-	got := db.Lookup("lat.p95").At(1)
+	got := db.DumpSeries("lat.p95").Samples[1]
 	if got.Epoch != 2 || got.Value != 2.0 {
 		t.Errorf("delta quantile = %+v, want epoch 2 value 2 (upper edge of bin 1)", got)
 	}
@@ -107,8 +108,8 @@ func TestRecorderBindsMidRunMetrics(t *testing.T) {
 	late := reg.Counter("late")
 	late.Add(7)
 	r.Sample(1)
-	s := db.Lookup("late")
-	if s.Len() != 1 || s.At(0) != (tsdb.Sample{Epoch: 1, Value: 7}) {
+	s := db.DumpSeries("late").Samples
+	if len(s) != 1 || s[0] != (tsdb.Sample{Epoch: 1, Value: 7}) {
 		t.Fatalf("late-bound counter series: %+v", db.DumpSeries("late"))
 	}
 }

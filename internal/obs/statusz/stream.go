@@ -58,14 +58,6 @@ func (h *Hub) Unsubscribe(sub *Subscriber) {
 	h.mu.Unlock()
 }
 
-// Subscribers reports the registered subscriber count (the teardown
-// regression tests poll it).
-func (h *Hub) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
 // Broadcast enqueues one frame for every subscriber, dropping (and
 // counting) for any whose queue is full.
 func (h *Hub) Broadcast(msg []byte) {

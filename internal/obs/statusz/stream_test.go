@@ -377,3 +377,11 @@ func TestShutdownNilServer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Subscribers reports the registered subscriber count (the teardown
+// regression tests poll it).
+func (h *Hub) Subscribers() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.subs)
+}

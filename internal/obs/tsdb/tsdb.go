@@ -34,12 +34,14 @@ type Sample struct {
 	Value float64 `json:"v"`
 }
 
-// Series is a single named ring buffer of samples.
+// Series is a single named ring buffer of samples. The ring grows by append
+// up to cap and then wraps; series made by DB.Series reserve all of cap up
+// front, so their appends never allocate.
 type Series struct {
 	name  string
-	ring  []Sample
-	head  int    // index of the oldest sample
-	n     int    // live samples
+	cap   int
+	ring  []Sample // live samples; oldest at head once len(ring) == cap
+	head  int
 	total uint64 // samples ever appended (monotonic)
 }
 
@@ -51,7 +53,7 @@ func (s *Series) Len() int {
 	if s == nil {
 		return 0
 	}
-	return s.n
+	return len(s.ring)
 }
 
 // Total returns the number of samples ever appended, including dropped.
@@ -63,25 +65,16 @@ func (s *Series) Total() uint64 {
 }
 
 // Dropped returns how many old samples the ring has discarded. The live
-// sample At(i) has global index Dropped()+i.
+// sample i (0 = oldest) has global index Dropped()+i.
 func (s *Series) Dropped() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.total - uint64(s.n)
-}
-
-// At returns live sample i, 0 = oldest.
-func (s *Series) At(i int) Sample {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("tsdb: At(%d) out of range [0,%d)", i, s.n))
-	}
-	return s.ring[(s.head+i)%len(s.ring)]
+	return s.total - uint64(len(s.ring))
 }
 
 // Append pushes one sample, evicting the oldest when full, dropping
-// non-finite values (see DB.Append). Zero allocations: the ring is sized
-// once at series creation. Nil-safe.
+// non-finite values (see DB.Append). Nil-safe.
 func (s *Series) Append(epoch int, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
@@ -89,20 +82,23 @@ func (s *Series) Append(epoch int, v float64) {
 	s.append(int32(epoch), v)
 }
 
-// append pushes one sample, evicting the oldest when full. Zero
-// allocations: the ring is sized once at series creation.
+// append pushes one sample, evicting the oldest when full.
 func (s *Series) append(epoch int32, v float64) {
 	if s == nil {
 		return
 	}
-	if s.n == len(s.ring) {
-		s.ring[s.head] = Sample{epoch, v}
-		s.head = (s.head + 1) % len(s.ring)
+	if len(s.ring) < s.cap {
+		s.ring = append(s.ring, Sample{epoch, v})
 	} else {
-		s.ring[(s.head+s.n)%len(s.ring)] = Sample{epoch, v}
-		s.n++
+		s.ring[s.head] = Sample{epoch, v}
+		s.head = (s.head + 1) % s.cap
 	}
 	s.total++
+}
+
+// sample returns live sample i, 0 = oldest.
+func (s *Series) sample(i int) Sample {
+	return s.ring[(s.head+i)%len(s.ring)]
 }
 
 // DB is a collection of named series sharing one ring capacity. The zero
@@ -134,14 +130,6 @@ func (db *DB) Cap() int {
 	return db.cap
 }
 
-// NumSeries returns the number of registered series.
-func (db *DB) NumSeries() int {
-	if db == nil {
-		return 0
-	}
-	return len(db.order)
-}
-
 // Series returns the named series, creating it on first use. Returns nil
 // on a nil store.
 func (db *DB) Series(name string) *Series {
@@ -151,7 +139,13 @@ func (db *DB) Series(name string) *Series {
 	if s, ok := db.byName[name]; ok {
 		return s
 	}
-	s := &Series{name: name, ring: make([]Sample, db.cap)}
+	return db.add(name, db.cap)
+}
+
+// add registers a new series whose ring has room for reserve samples before
+// it has to grow.
+func (db *DB) add(name string, reserve int) *Series {
+	s := &Series{name: name, cap: db.cap, ring: make([]Sample, 0, reserve)}
 	db.byName[name] = s
 	db.order = append(db.order, name)
 	return s
@@ -199,8 +193,8 @@ func (db *DB) Merge(src *DB) {
 		from := src.byName[name]
 		to := db.Series(name)
 		to.total += from.Dropped()
-		for i := 0; i < from.n; i++ {
-			sm := from.ring[(from.head+i)%len(from.ring)]
+		for i := range from.ring {
+			sm := from.sample(i)
 			to.append(sm.Epoch, sm.Value)
 		}
 	}
@@ -237,9 +231,9 @@ func (db *DB) DumpSeries(name string) SeriesData {
 	if s == nil {
 		return SeriesData{Name: name}
 	}
-	d := SeriesData{Name: name, Start: s.Dropped(), Samples: make([]Sample, s.n)}
-	for i := 0; i < s.n; i++ {
-		d.Samples[i] = s.ring[(s.head+i)%len(s.ring)]
+	d := SeriesData{Name: name, Start: s.Dropped(), Samples: make([]Sample, len(s.ring))}
+	for i := range d.Samples {
+		d.Samples[i] = s.sample(i)
 	}
 	return d
 }
@@ -263,7 +257,9 @@ func (db *DB) Write(w io.Writer) error {
 	return enc.Encode(f)
 }
 
-// Read parses a dump produced by Write back into a store.
+// Read parses a dump produced by Write back into a store. Each series' ring
+// is sized to the samples the dump carries, not to its capacity, so memory
+// stays proportional to the input whatever capacity the dump claims.
 func Read(r io.Reader) (*DB, error) {
 	var f dumpFile
 	dec := json.NewDecoder(r)
@@ -279,10 +275,13 @@ func Read(r io.Reader) (*DB, error) {
 	}
 	db := New(f.Cap)
 	for _, sd := range f.Series {
-		s := db.Series(sd.Name)
+		if db.byName[sd.Name] != nil {
+			return nil, fmt.Errorf("tsdb: series %q repeated", sd.Name)
+		}
 		if len(sd.Samples) > f.Cap {
 			return nil, fmt.Errorf("tsdb: series %q has %d samples, over capacity %d", sd.Name, len(sd.Samples), f.Cap)
 		}
+		s := db.add(sd.Name, len(sd.Samples))
 		s.total = sd.Start
 		for _, sm := range sd.Samples {
 			s.append(sm.Epoch, sm.Value)

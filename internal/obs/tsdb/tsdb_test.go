@@ -2,7 +2,9 @@ package tsdb
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -16,9 +18,9 @@ func TestAppendAndAt(t *testing.T) {
 	if s.Len() != 3 || s.Total() != 3 || s.Dropped() != 0 {
 		t.Fatalf("len=%d total=%d dropped=%d", s.Len(), s.Total(), s.Dropped())
 	}
-	for i := 0; i < 3; i++ {
-		if got := s.At(i); got.Epoch != int32(i) || got.Value != float64(i)*10 {
-			t.Errorf("At(%d) = %+v", i, got)
+	for i, got := range db.DumpSeries("a").Samples {
+		if got.Epoch != int32(i) || got.Value != float64(i)*10 {
+			t.Errorf("sample %d = %+v", i, got)
 		}
 	}
 }
@@ -32,15 +34,15 @@ func TestRingEviction(t *testing.T) {
 	if s.Len() != 4 || s.Total() != 10 || s.Dropped() != 6 {
 		t.Fatalf("len=%d total=%d dropped=%d", s.Len(), s.Total(), s.Dropped())
 	}
-	// Survivors are the last four, oldest first.
-	for i := 0; i < 4; i++ {
-		if got := s.At(i); got.Epoch != int32(6+i) {
-			t.Errorf("At(%d).Epoch = %d, want %d", i, got.Epoch, 6+i)
-		}
-	}
 	d := db.DumpSeries("a")
 	if d.Start != 6 || len(d.Samples) != 4 {
 		t.Fatalf("dump start=%d n=%d", d.Start, len(d.Samples))
+	}
+	// Survivors are the last four, oldest first.
+	for i, got := range d.Samples {
+		if got.Epoch != int32(6+i) {
+			t.Errorf("sample %d epoch = %d, want %d", i, got.Epoch, 6+i)
+		}
 	}
 }
 
@@ -49,7 +51,7 @@ func TestNonFiniteDropped(t *testing.T) {
 	db.Append("a", 0, math.NaN())
 	db.Append("a", 1, math.Inf(1))
 	db.Append("a", 2, 1.5)
-	if s := db.Lookup("a"); s.Len() != 1 || s.At(0).Value != 1.5 {
+	if d := db.DumpSeries("a"); len(d.Samples) != 1 || d.Samples[0].Value != 1.5 {
 		t.Fatalf("non-finite values not dropped: %+v", db.Dump())
 	}
 }
@@ -61,7 +63,7 @@ func TestNilDBSafe(t *testing.T) {
 	}
 	db.Append("a", 0, 1)
 	db.Merge(New(4))
-	if db.Dump() != nil || db.Names() != nil || db.NumSeries() != 0 || db.Cap() != 0 {
+	if db.Dump() != nil || db.Names() != nil || db.Cap() != 0 {
 		t.Fatal("nil DB not inert")
 	}
 	var s *Series
@@ -140,6 +142,7 @@ func TestReadRejectsBadDumps(t *testing.T) {
 		"bad cap":       `{"v":1,"cap":0,"series":[]}`,
 		"unknown field": `{"v":1,"cap":4,"series":[],"extra":1}`,
 		"over capacity": `{"v":1,"cap":1,"series":[{"name":"a","samples":[{"e":0,"v":1},{"e":1,"v":2}]}]}`,
+		"repeated":      `{"v":1,"cap":4,"series":[{"name":"a","samples":[]},{"name":"a","samples":[]}]}`,
 		"not json":      `nope`,
 	} {
 		if _, err := Read(strings.NewReader(in)); err == nil {
@@ -173,4 +176,104 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state Append allocates %v per op, want 0", allocs)
 	}
+}
+
+// hugeCapDumps claim capacities no store could reserve. Read used to
+// allocate cap samples per series: the first took ~3.2 GB, the second
+// killed the process with a runtime out-of-memory fatal error.
+var hugeCapDumps = []string{
+	`{"v":1,"cap":100000000,"series":[{"name":"a","start":0,"samples":[]},{"name":"b","start":0,"samples":[]}]}`,
+	`{"v":1,"cap":1000000000000,"series":[{"name":"a","start":0,"samples":[]},{"name":"b","start":0,"samples":[]}]}`,
+}
+
+// TestReadBoundedByInput pins that Read's memory follows the bytes it is
+// given, not the capacity the dump claims.
+func TestReadBoundedByInput(t *testing.T) {
+	for _, in := range hugeCapDumps {
+		db, err := Read(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("Read(%s): %v", in, err)
+		}
+		if got := len(db.Names()); got != 2 {
+			t.Fatalf("Read(%s): %d series, want 2", in, got)
+		}
+	}
+	var dump strings.Builder
+	fmt.Fprintf(&dump, `{"v":1,"cap":%d,"series":[`, DefaultCapacity)
+	for i := 0; i < 1000; i++ {
+		if i > 0 {
+			dump.WriteByte(',')
+		}
+		fmt.Fprintf(&dump, `{"name":"s%04d","samples":[]}`, i)
+	}
+	dump.WriteString("]}")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	db, err := Read(strings.NewReader(dump.String()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(db.Names()); got != 1000 {
+		t.Fatalf("read %d series, want 1000", got)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("reading 1000 empty series at cap %d allocated %d bytes, want < 4 MB", DefaultCapacity, alloc)
+	}
+}
+
+// TestReadThenAppendWraps checks that a series read from a dump keeps its
+// capacity: appends grow its ring up to cap, then evict the oldest.
+func TestReadThenAppendWraps(t *testing.T) {
+	db, err := Read(strings.NewReader(`{"v":1,"cap":3,"series":[{"name":"a","start":5,"samples":[{"e":5,"v":1}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 6; e < 10; e++ {
+		db.Append("a", e, float64(e))
+	}
+	d := db.DumpSeries("a")
+	if d.Start != 7 || len(d.Samples) != 3 || d.Samples[0].Epoch != 7 || d.Samples[2].Epoch != 9 {
+		t.Fatalf("after wrap: %+v", d)
+	}
+}
+
+// FuzzRead feeds arbitrary bytes to Read, which parses dumps handed to
+// cmd/report and journalled cell states on resume: malformed input must be
+// an error, never a panic, and anything accepted must write back to a dump
+// that reads and writes identically.
+func FuzzRead(f *testing.F) {
+	db := New(4)
+	for e := 0; e < 7; e++ {
+		db.Append("a.p95", e, 0.1*float64(e))
+	}
+	var buf bytes.Buffer
+	if err := db.Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, in := range hugeCapDumps {
+		f.Add([]byte(in))
+	}
+	f.Add([]byte(`{"v":1,"cap":1,"series":[{"name":"a","start":18446744073709551615,"samples":[{"e":0,"v":1}]}]}`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		db, err := Read(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := db.Write(&once); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading Write output: %v\n%s", err, once.String())
+		}
+		if err := back.Write(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if once.String() != twice.String() {
+			t.Fatalf("dump not stable across a round trip:\n%s\nvs\n%s", once.String(), twice.String())
+		}
+	})
 }

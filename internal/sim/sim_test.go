@@ -171,3 +171,17 @@ func TestServerLateArrivalNoQueueing(t *testing.T) {
 		t.Errorf("Now = %d, want 60", e.Now())
 	}
 }
+
+func TestRunWithoutContextUnchanged(t *testing.T) {
+	var e Engine
+	ran := 0
+	for i := 0; i < 5; i++ {
+		e.Schedule(Time(i), func() { ran++ })
+	}
+	if got := e.RunAll(); got != 5 || ran != 5 {
+		t.Fatalf("RunAll = %d (ran %d), want 5", got, ran)
+	}
+}
+
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.queue) }

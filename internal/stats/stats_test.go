@@ -232,3 +232,27 @@ func TestMinMax(t *testing.T) {
 		t.Errorf("Max = %v", Max(xs))
 	}
 }
+
+// Histogram counts xs into nbins equal-width bins over [lo, hi].
+// Values outside the range are clamped into the first or last bin.
+func Histogram(xs []float64, lo, hi float64, nbins int) []int {
+	if nbins <= 0 {
+		panic("stats: Histogram needs at least one bin")
+	}
+	if hi <= lo {
+		panic("stats: Histogram range must have hi > lo")
+	}
+	bins := make([]int, nbins)
+	width := (hi - lo) / float64(nbins)
+	for _, x := range xs {
+		i := int((x - lo) / width)
+		if i < 0 {
+			i = 0
+		}
+		if i >= nbins {
+			i = nbins - 1
+		}
+		bins[i]++
+	}
+	return bins
+}

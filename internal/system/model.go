@@ -1,8 +1,6 @@
 package system
 
 import (
-	"math"
-
 	"jumanji/internal/core"
 	"jumanji/internal/energy"
 	"jumanji/internal/mrc"
@@ -117,12 +115,6 @@ func (m *epochModel) reset(in *core.Input, pl, prev *core.Placement, apps []*app
 		m.overlay[b] = vote{}
 	}
 	m.computeDueling(apps)
-}
-
-func newEpochModel(cfg Config, in *core.Input, pl, prev *core.Placement, apps []*appState) *epochModel {
-	m := &epochModel{cfg: cfg}
-	m.reset(in, pl, prev, apps)
-	return m
 }
 
 // computeDueling elects a replacement policy per bank by access-weighted
@@ -256,13 +248,4 @@ func meanHopsFromCore(m core.Machine, c topo.TileID) float64 {
 		total += m.Mesh.Hops(c, topo.TileID(b))
 	}
 	return float64(total) / float64(m.Banks())
-}
-
-// p95MM1 is the analytic 95th-percentile sojourn time of an M/M/1 queue
-// with mean service S and utilization rho: ln(20)·S/(1−rho).
-func p95MM1(s, rho float64) float64 {
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return math.Log(20) * s / (1 - rho)
 }

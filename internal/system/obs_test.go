@@ -123,13 +123,13 @@ func TestRunRecordsFlightRecorder(t *testing.T) {
 
 	epochs := cfg.TS.Lookup("system.epochs")
 	if epochs == nil {
-		t.Fatalf("no system.epochs series; recorded %d series", cfg.TS.NumSeries())
+		t.Fatalf("no system.epochs series; recorded %d series", len(cfg.TS.Names()))
 	}
 	if epochs.Len() != testEpochs {
 		t.Fatalf("system.epochs has %d samples, want %d", epochs.Len(), testEpochs)
 	}
-	for i := 0; i < epochs.Len(); i++ {
-		if s := epochs.At(i); s.Value != 1 || s.Epoch != int32(i) {
+	for i, s := range cfg.TS.DumpSeries("system.epochs").Samples {
+		if s.Value != 1 || s.Epoch != int32(i) {
 			t.Fatalf("system.epochs sample %d = %+v, want delta 1 at epoch %d", i, s, i)
 		}
 	}
@@ -144,7 +144,7 @@ func TestRunRecordsFlightRecorder(t *testing.T) {
 	cfg2, wl2 := caseStudy(t, 1, true)
 	cfg2.TS = tsdb.New(1024)
 	Run(cfg2, wl2, core.JumanjiPlacer{}, testEpochs, testWarmup)
-	if n := cfg2.TS.NumSeries(); n != 0 {
+	if n := len(cfg2.TS.Names()); n != 0 {
 		t.Errorf("TS without Metrics recorded %d series, want 0", n)
 	}
 }

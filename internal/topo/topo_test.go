@@ -57,7 +57,7 @@ func TestHopsPropertyMatchesRouteLength(t *testing.T) {
 	f := func(ar, br uint8) bool {
 		a := TileID(int(ar) % m.Tiles())
 		b := TileID(int(br) % m.Tiles())
-		route := m.Route(a, b)
+		route := m.RouteAppend(nil, a, b)
 		return len(route)-1 == m.Hops(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -67,7 +67,7 @@ func TestHopsPropertyMatchesRouteLength(t *testing.T) {
 
 func TestRouteEndpointsAndAdjacency(t *testing.T) {
 	m := NewMesh(5, 4)
-	route := m.Route(0, 19)
+	route := m.RouteAppend(nil, 0, 19)
 	if route[0] != 0 || route[len(route)-1] != 19 {
 		t.Fatalf("Route endpoints wrong: %v", route)
 	}
@@ -84,9 +84,9 @@ func TestRouteEndpointsAndAdjacency(t *testing.T) {
 
 func TestBanksByDistance(t *testing.T) {
 	m := NewMesh(5, 4)
-	banks := m.BanksByDistance(0)
+	banks := m.BanksByDistanceView(0)
 	if len(banks) != 20 {
-		t.Fatalf("BanksByDistance returned %d banks", len(banks))
+		t.Fatalf("BanksByDistanceView returned %d banks", len(banks))
 	}
 	if banks[0] != 0 {
 		t.Errorf("closest bank to 0 should be 0, got %d", banks[0])
@@ -94,7 +94,7 @@ func TestBanksByDistance(t *testing.T) {
 	// Distances must be non-decreasing.
 	for i := 1; i < len(banks); i++ {
 		if m.Hops(0, banks[i]) < m.Hops(0, banks[i-1]) {
-			t.Fatalf("BanksByDistance not sorted at index %d", i)
+			t.Fatalf("BanksByDistanceView not sorted at index %d", i)
 		}
 	}
 	// Must be a permutation.
@@ -111,7 +111,7 @@ func TestBanksByDistancePermutationProperty(t *testing.T) {
 	m := NewMesh(5, 4)
 	f := func(fr uint8) bool {
 		from := TileID(int(fr) % m.Tiles())
-		banks := m.BanksByDistance(from)
+		banks := m.BanksByDistanceView(from)
 		if len(banks) != m.Tiles() {
 			return false
 		}
@@ -141,24 +141,6 @@ func TestCorners(t *testing.T) {
 	want := [4]TileID{0, 4, 15, 19}
 	if c != want {
 		t.Errorf("Corners = %v, want %v", c, want)
-	}
-}
-
-func TestQuadrant(t *testing.T) {
-	m := NewMesh(4, 4)
-	tests := []struct {
-		id   TileID
-		want int
-	}{
-		{0, 0},  // (0,0)
-		{3, 1},  // (3,0)
-		{12, 2}, // (0,3)
-		{15, 3}, // (3,3)
-	}
-	for _, tt := range tests {
-		if got := m.Quadrant(tt.id); got != tt.want {
-			t.Errorf("Quadrant(%d) = %d, want %d", tt.id, got, tt.want)
-		}
 	}
 }
 
@@ -196,21 +178,19 @@ func TestAvgHopsPanics(t *testing.T) {
 }
 
 // TestBanksByDistanceViewMatches pins the memoized view to the sorting path:
-// same permutation from every source tile, and the copying BanksByDistance
-// must return the table rows verbatim.
+// same permutation from every source tile.
 func TestBanksByDistanceViewMatches(t *testing.T) {
 	m := NewMesh(5, 4)
 	for from := 0; from < m.Tiles(); from++ {
 		view := m.BanksByDistanceView(TileID(from))
-		copied := m.BanksByDistance(TileID(from))
 		// Reference: re-sort from scratch on a table-less mesh.
-		ref := (&Mesh{W: 5, H: 4}).BanksByDistance(TileID(from))
+		ref := (&Mesh{W: 5, H: 4}).BanksByDistanceView(TileID(from))
 		if len(view) != len(ref) {
 			t.Fatalf("from %d: view has %d banks, want %d", from, len(view), len(ref))
 		}
 		for i := range ref {
-			if view[i] != ref[i] || copied[i] != ref[i] {
-				t.Fatalf("from %d index %d: view %d copy %d, want %d", from, i, view[i], copied[i], ref[i])
+			if view[i] != ref[i] {
+				t.Fatalf("from %d index %d: view %d, want %d", from, i, view[i], ref[i])
 			}
 		}
 	}
@@ -258,7 +238,7 @@ func BenchmarkBanksByDistance(b *testing.B) {
 		un := &Mesh{W: 8, H: 8} // table-less: sorts every call
 		var sink TileID
 		for i := 0; i < b.N; i++ {
-			row := un.BanksByDistance(TileID(i % un.Tiles()))
+			row := un.BanksByDistanceView(TileID(i % un.Tiles()))
 			sink = row[0]
 		}
 		_ = sink

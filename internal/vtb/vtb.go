@@ -101,28 +101,6 @@ func NewDescriptor(shares map[topo.TileID]float64) Descriptor {
 	return d
 }
 
-// SingleBank returns a descriptor placing the whole VC in one bank.
-func SingleBank(b topo.TileID) Descriptor {
-	var d Descriptor
-	for i := range d {
-		d[i] = b
-	}
-	return d
-}
-
-// Striped returns a descriptor striping the VC uniformly across the given
-// banks — the S-NUCA placement used by the non-NUCA baseline designs.
-func Striped(banks []topo.TileID) Descriptor {
-	if len(banks) == 0 {
-		panic("vtb: Striped over no banks")
-	}
-	var d Descriptor
-	for i := range d {
-		d[i] = banks[i%len(banks)]
-	}
-	return d
-}
-
 // hashAddr mixes a line address into a descriptor index. It is a 64-bit
 // finalizer (splitmix64-style), standing in for the hardware hash H in
 // Fig. 7; quality matters because skewed hashing would unbalance banks.
@@ -183,8 +161,6 @@ func MovedLines(old, new *Descriptor) (entries []int, fraction float64) {
 type VTB struct {
 	pages       map[uint64]VCID // page number -> VC
 	descriptors map[VCID]*Descriptor
-	defaultVC   VCID
-	hasDefault  bool
 
 	// Lookups and Misses count VTB activity. A "miss" is a lookup for a VC
 	// with no installed descriptor, which in real hardware would trap to
@@ -199,18 +175,6 @@ func New() *VTB {
 		pages:       make(map[uint64]VCID),
 		descriptors: make(map[VCID]*Descriptor),
 	}
-}
-
-// SetDefaultVC routes pages with no explicit mapping to vc (typically the
-// owning application's VC, cached in the TLB in real hardware).
-func (v *VTB) SetDefaultVC(vc VCID) {
-	v.defaultVC = vc
-	v.hasDefault = true
-}
-
-// MapPage assigns the page containing addr to vc.
-func (v *VTB) MapPage(addr uint64, vc VCID) {
-	v.pages[addr/PageSize] = vc
 }
 
 // MapRange assigns every page overlapping [base, base+size) to vc — the
@@ -237,16 +201,11 @@ func (v *VTB) Descriptor(vc VCID) (*Descriptor, bool) {
 	return d, ok
 }
 
-// VCFor returns the VC owning addr (the page mapping, else the default VC).
-// ok is false if the page is unmapped and no default is set.
+// VCFor returns the VC owning addr's page. ok is false if the page is
+// unmapped.
 func (v *VTB) VCFor(addr uint64) (VCID, bool) {
-	if vc, ok := v.pages[addr/PageSize]; ok {
-		return vc, true
-	}
-	if v.hasDefault {
-		return v.defaultVC, true
-	}
-	return 0, false
+	vc, ok := v.pages[addr/PageSize]
+	return vc, ok
 }
 
 // Lookup resolves addr to its VC and LLC bank. ok is false when the page is

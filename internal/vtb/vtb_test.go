@@ -121,19 +121,26 @@ func TestBankForUniformity(t *testing.T) {
 	}
 }
 
+// singleBank returns a descriptor placing the whole VC in bank b.
+func singleBank(b topo.TileID) Descriptor {
+	return NewDescriptor(map[topo.TileID]float64{b: 1})
+}
+
 func TestBankForDeterministic(t *testing.T) {
-	d := SingleBank(4)
+	d := singleBank(4)
 	if d.BankFor(12345) != 4 {
-		t.Error("SingleBank must route everything to its bank")
+		t.Error("a single-bank descriptor must route everything to its bank")
 	}
-	s := Striped([]topo.TileID{0, 1, 2})
+	s := NewDescriptor(map[topo.TileID]float64{0: 1, 1: 1, 2: 1})
 	if got := s.BankFor(999); got != s.BankFor(999) {
 		t.Error("BankFor not deterministic")
 	}
 }
 
+// TestStripedCoversAllBanks checks the S-NUCA striping the baselines use:
+// equal shares over a bank set place the VC in every one of them.
 func TestStripedCoversAllBanks(t *testing.T) {
-	s := Striped([]topo.TileID{3, 8, 11})
+	s := NewDescriptor(map[topo.TileID]float64{3: 1, 8: 1, 11: 1})
 	banks := s.Banks()
 	if len(banks) != 3 || banks[0] != 3 || banks[1] != 8 || banks[2] != 11 {
 		t.Errorf("Banks = %v", banks)
@@ -143,20 +150,20 @@ func TestStripedCoversAllBanks(t *testing.T) {
 func TestStripedEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Striped(nil) should panic")
+			t.Error("striping over no banks should panic")
 		}
 	}()
-	Striped(nil)
+	NewDescriptor(map[topo.TileID]float64{})
 }
 
 func TestMovedLines(t *testing.T) {
-	a := SingleBank(0)
-	b := SingleBank(0)
+	a := singleBank(0)
+	b := singleBank(0)
 	entries, frac := MovedLines(&a, &b)
 	if len(entries) != 0 || frac != 0 {
 		t.Errorf("identical descriptors moved %d entries", len(entries))
 	}
-	c := SingleBank(1)
+	c := singleBank(1)
 	entries, frac = MovedLines(&a, &c)
 	if len(entries) != DescriptorEntries || frac != 1 {
 		t.Errorf("full move reported %d entries (frac %v)", len(entries), frac)
@@ -168,11 +175,11 @@ func TestVTBLookupFlow(t *testing.T) {
 	if _, _, ok := v.Lookup(0x1000); ok {
 		t.Error("lookup on empty VTB should miss")
 	}
-	v.MapPage(0x1000, 7)
+	v.MapRange(0x1000, 1, 7)
 	if _, _, ok := v.Lookup(0x1000); ok {
 		t.Error("lookup without descriptor should miss")
 	}
-	v.Install(7, SingleBank(3))
+	v.Install(7, singleBank(3))
 	vc, bank, ok := v.Lookup(0x1234) // same page as 0x1000
 	if !ok || vc != 7 || bank != 3 {
 		t.Errorf("Lookup = vc %d bank %d ok %v", vc, bank, ok)
@@ -182,35 +189,38 @@ func TestVTBLookupFlow(t *testing.T) {
 	}
 }
 
+// TestVTBDefaultVC pins that there is no default VC: an unmapped page
+// misses even when VC 0, the zero VCID, has a descriptor installed.
 func TestVTBDefaultVC(t *testing.T) {
 	v := New()
-	v.SetDefaultVC(2)
-	v.Install(2, SingleBank(9))
-	_, bank, ok := v.Lookup(0xdeadbeef)
-	if !ok || bank != 9 {
-		t.Errorf("default VC lookup = bank %d ok %v", bank, ok)
+	v.Install(0, singleBank(9))
+	if vc, _, ok := v.Lookup(0xdeadbeef); ok {
+		t.Errorf("unmapped page resolved to VC %d", vc)
 	}
 }
 
 func TestVTBPageGranularity(t *testing.T) {
 	v := New()
-	v.MapPage(0, 1)
-	v.Install(1, SingleBank(0))
-	v.SetDefaultVC(2)
-	v.Install(2, SingleBank(5))
+	v.MapRange(0, 1, 1)
+	v.Install(1, singleBank(0))
+	v.MapRange(PageSize, 1, 2)
+	v.Install(2, singleBank(5))
 	if _, bank, _ := v.Lookup(PageSize - 1); bank != 0 {
 		t.Error("address in mapped page went to wrong VC")
 	}
 	if _, bank, _ := v.Lookup(PageSize); bank != 5 {
-		t.Error("address in next page should use default VC")
+		t.Error("address in next page should use that page's VC")
+	}
+	if _, _, ok := v.Lookup(2 * PageSize); ok {
+		t.Error("address in an unmapped page should miss")
 	}
 }
 
 func TestInstallReplaces(t *testing.T) {
 	v := New()
-	v.SetDefaultVC(1)
-	v.Install(1, SingleBank(0))
-	v.Install(1, SingleBank(4))
+	v.MapRange(0, PageSize, 1)
+	v.Install(1, singleBank(0))
+	v.Install(1, singleBank(4))
 	_, bank, _ := v.Lookup(64)
 	if bank != 4 {
 		t.Errorf("descriptor not replaced: bank %d", bank)

@@ -239,7 +239,7 @@ func BenchmarkPlacementAlgorithmOverhead(b *testing.B) {
 	placer := core.JumanjiPlacer{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		placer.Place(in)
+		core.PlaceWith(placer, in, nil)
 	}
 	b.StopTimer()
 	nsPerPlace := float64(b.Elapsed().Nanoseconds()) / float64(b.N)

@@ -118,7 +118,7 @@ func run() int {
 		opts.Publish = &status
 	}
 
-	build := workloadBuilder(*lc, *vms, *seed)
+	build := jumanji.WorkloadFor(*lc, *vms, *seed)
 
 	var designs []jumanji.Design
 	if strings.EqualFold(*designFlag, "all") {
@@ -195,12 +195,7 @@ func run() int {
 		return 0
 	}
 
-	fmt.Printf("%-22s %14s %14s %14s %12s\n",
-		"design", "tail/deadline", "speedup", "vulnerability", "energy (mJ)")
-	for _, r := range results {
-		fmt.Printf("%-22s %14.2f %14.3f %14.2f %12.2f\n",
-			r.Design, r.WorstNormTail, r.SpeedupVsStatic, r.Vulnerability, r.Energy.Total()/1e6)
-	}
+	jumanji.WriteTable(os.Stdout, results)
 	if *perApp {
 		for _, r := range results {
 			fmt.Printf("\n--- %s ---\n", r.Design)
@@ -218,19 +213,6 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-func workloadBuilder(lc string, vms int, seed int64) func(jumanji.Options) (jumanji.Workload, error) {
-	if strings.EqualFold(lc, "datacenter") {
-		return jumanji.Datacenter(seed)
-	}
-	if vms != 4 {
-		return jumanji.Scaling(vms, seed)
-	}
-	if strings.EqualFold(lc, "mixed") {
-		return jumanji.MixedCaseStudy(seed)
-	}
-	return jumanji.CaseStudy(lc, seed)
 }
 
 // parseDims parses a "WxH" topology flag.

@@ -123,7 +123,7 @@ func TestAllocGuardProvenance(t *testing.T) {
 	if in.Prov != nil {
 		t.Fatal("alloc-guard workload unexpectedly has a provenance recorder")
 	}
-	for _, placer := range []ScratchPlacer{JumanjiPlacer{}, JigsawPlacer{}} {
+	for _, placer := range []Placer{JumanjiPlacer{}, JigsawPlacer{}} {
 		placer := placer
 		placer.PlaceInto(in, pl) // warm the scratch pool
 		allocs := testing.AllocsPerRun(50, func() {

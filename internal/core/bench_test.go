@@ -14,13 +14,13 @@ func benchPlacement(b *testing.B) (*Input, *Placement, *Placement) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	in := testWorkload(4, 4, rng)
-	prev := JumanjiPlacer{}.Place(in)
+	prev := PlaceWith(JumanjiPlacer{}, in, nil)
 	// Perturb the controller targets so prev and cur differ (MovedFraction
 	// has real work to do).
 	for id := range in.LatSizes {
 		in.LatSizes[id] *= 1.5
 	}
-	cur := JumanjiPlacer{}.Place(in)
+	cur := PlaceWith(JumanjiPlacer{}, in, nil)
 	return in, cur, prev
 }
 
@@ -59,7 +59,7 @@ func BenchmarkPlacementOps(b *testing.B) {
 // ShardedPlacer with default regions, whose cost is near-linear in regions.
 // The ISSUE 8 acceptance bar: sharded 16x16 is ≥5× faster than flat 16x16.
 func BenchmarkPlacerPlace(b *testing.B) {
-	runOn := func(b *testing.B, m Machine, p ScratchPlacer) {
+	runOn := func(b *testing.B, m Machine, p Placer) {
 		rng := rand.New(rand.NewSource(42))
 		nVMs := m.Banks() / 9
 		if nVMs < 4 {

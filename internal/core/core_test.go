@@ -77,7 +77,7 @@ func TestAllPlacersProduceValidPlacements(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := testWorkload(4, 4, rng)
 	for _, p := range allPlacers() {
-		pl := p.Place(in)
+		pl := PlaceWith(p, in, nil)
 		if err := pl.Validate(in); err != nil {
 			t.Errorf("%s: %v", p.Name(), err)
 		}
@@ -102,7 +102,7 @@ func TestJumanjiVMIsolation(t *testing.T) {
 		for id := range in.LatSizes {
 			in.LatSizes[id] = float64(1+rng.Intn(40)) * in.Machine.WayBytes() * 4
 		}
-		pl := JumanjiPlacer{}.Place(in)
+		pl := PlaceWith(JumanjiPlacer{}, in, nil)
 		if err := pl.Validate(in); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -115,7 +115,7 @@ func TestJumanjiVMIsolation(t *testing.T) {
 func TestJumanjiMeetsLatencyReservations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := testWorkload(4, 4, rng)
-	pl := JumanjiPlacer{}.Place(in)
+	pl := PlaceWith(JumanjiPlacer{}, in, nil)
 	for _, app := range in.LatCritApps() {
 		got := pl.TotalOf(app)
 		want := in.LatSizes[app]
@@ -128,7 +128,7 @@ func TestJumanjiMeetsLatencyReservations(t *testing.T) {
 func TestJumanjiPlacesLatCritNearby(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	in := testWorkload(4, 4, rng)
-	pl := JumanjiPlacer{}.Place(in)
+	pl := PlaceWith(JumanjiPlacer{}, in, nil)
 	for _, app := range in.LatCritApps() {
 		hops := pl.AvgHops(app, in.Apps[app].Core)
 		// A 2 MB allocation fits in 2 banks; nearest banks are ≤ 1 hop.
@@ -144,8 +144,8 @@ func TestJigsawStarvesLatencyCritical(t *testing.T) {
 	// space than their deadline requires.
 	rng := rand.New(rand.NewSource(5))
 	in := testWorkload(4, 4, rng)
-	jig := JigsawPlacer{}.Place(in)
-	jum := JumanjiPlacer{}.Place(in)
+	jig := PlaceWith(JigsawPlacer{}, in, nil)
+	jum := PlaceWith(JumanjiPlacer{}, in, nil)
 	for _, app := range in.LatCritApps() {
 		if jig.TotalOf(app) > 0.5*jum.TotalOf(app) {
 			t.Errorf("LC app %d: Jigsaw gave %g, Jumanji %g — expected Jigsaw to starve it",
@@ -157,7 +157,7 @@ func TestJigsawStarvesLatencyCritical(t *testing.T) {
 func TestStaticGivesFourWays(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	in := testWorkload(4, 4, rng)
-	pl := StaticPlacer{}.Place(in)
+	pl := PlaceWith(StaticPlacer{}, in, nil)
 	want := 4 * in.Machine.WayBytes() * float64(in.Machine.Banks())
 	for _, app := range in.LatCritApps() {
 		if got := pl.TotalOf(app); math.Abs(got-want) > 1 {
@@ -173,7 +173,7 @@ func TestSNUCADesignsShareEveryBank(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := testWorkload(4, 4, rng)
 	for _, p := range []Placer{AdaptivePlacer{}, VMPartPlacer{}} {
-		pl := p.Place(in)
+		pl := PlaceWith(p, in, nil)
 		for b := 0; b < in.Machine.Banks(); b++ {
 			apps := pl.AppendAppsInBank(nil, topo.TileID(b))
 			if len(apps) != len(in.Apps) {
@@ -189,8 +189,8 @@ func TestSNUCADesignsShareEveryBank(t *testing.T) {
 func TestVMPartReducesBatchAssociativity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	in := testWorkload(4, 4, rng)
-	vp := VMPartPlacer{}.Place(in)
-	ad := AdaptivePlacer{}.Place(in)
+	vp := PlaceWith(VMPartPlacer{}, in, nil)
+	ad := PlaceWith(AdaptivePlacer{}, in, nil)
 	for _, app := range in.BatchApps() {
 		if vp.MeanWays(app) >= ad.MeanWays(app) {
 			t.Errorf("batch app %d: VM-Part ways %.1f !< Adaptive ways %.1f",
@@ -204,8 +204,8 @@ func TestDNUCAKeepsHighAssociativity(t *testing.T) {
 	// more effective ways than S-NUCA way-partitioning.
 	rng := rand.New(rand.NewSource(9))
 	in := testWorkload(4, 4, rng)
-	jum := JumanjiPlacer{}.Place(in)
-	vp := VMPartPlacer{}.Place(in)
+	jum := PlaceWith(JumanjiPlacer{}, in, nil)
+	vp := PlaceWith(VMPartPlacer{}, in, nil)
 	var jumWays, vpWays float64
 	batch := in.BatchApps()
 	for _, app := range batch {
@@ -220,7 +220,7 @@ func TestDNUCAKeepsHighAssociativity(t *testing.T) {
 func TestJumanjiInsecureNotIsolatedButNearby(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	in := testWorkload(4, 4, rng)
-	pl := JumanjiPlacer{Insecure: true}.Place(in)
+	pl := PlaceWith(JumanjiPlacer{Insecure: true}, in, nil)
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestJumanjiInsecureNotIsolatedButNearby(t *testing.T) {
 func TestIdealBatchOverlay(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := testWorkload(4, 4, rng)
-	pl := IdealBatchPlacer{}.Place(in)
+	pl := PlaceWith(IdealBatchPlacer{}, in, nil)
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestWayMasksDisjointAndSized(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	in := testWorkload(4, 4, rng)
 	for _, p := range []Placer{JumanjiPlacer{}, JigsawPlacer{}} {
-		pl := p.Place(in)
+		pl := PlaceWith(p, in, nil)
 		for b := 0; b < in.Machine.Banks(); b++ {
 			masks := pl.WayMasks(topo.TileID(b))
 			var union uint64
@@ -295,7 +295,7 @@ func popcount(x uint64) int {
 func TestDescriptorReflectsAllocation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	in := testWorkload(4, 4, rng)
-	pl := JumanjiPlacer{}.Place(in)
+	pl := PlaceWith(JumanjiPlacer{}, in, nil)
 	for i := range in.Apps {
 		app := AppID(i)
 		d, ok := pl.Descriptor(app)
@@ -325,7 +325,7 @@ func TestJumanjiSafetyValveScalesDown(t *testing.T) {
 	for id := range in.LatSizes {
 		in.LatSizes[id] = in.Machine.TotalBytes() // absurd demand
 	}
-	pl := JumanjiPlacer{}.Place(in)
+	pl := PlaceWith(JumanjiPlacer{}, in, nil)
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +342,14 @@ func TestJumanjiTooManyVMs(t *testing.T) {
 			t.Error("expected panic when VMs exceed banks")
 		}
 	}()
-	JumanjiPlacer{}.Place(in)
+	PlaceWith(JumanjiPlacer{}, in, nil)
 }
 
 func TestSingleVMJumanji(t *testing.T) {
 	// Fig. 17 starts at one VM (no isolation constraint binds).
 	rng := rand.New(rand.NewSource(16))
 	in := testWorkload(1, 8, rng)
-	pl := JumanjiPlacer{}.Place(in)
+	pl := PlaceWith(JumanjiPlacer{}, in, nil)
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestManyVMsJumanji(t *testing.T) {
 	// Fig. 17's 12-VM point.
 	rng := rand.New(rand.NewSource(17))
 	in := testWorkload(12, 1, rng)
-	pl := JumanjiPlacer{}.Place(in)
+	pl := PlaceWith(JumanjiPlacer{}, in, nil)
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestJumanjiOversubscription(t *testing.T) {
 			AccessRate: 10,
 		})
 	}
-	pl := JumanjiPlacer{AllowOversubscription: true}.Place(in)
+	pl := PlaceWith(JumanjiPlacer{AllowOversubscription: true}, in, nil)
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}
@@ -468,13 +468,13 @@ func TestJumanjiOversubscription(t *testing.T) {
 			t.Error("without AllowOversubscription this workload should panic")
 		}
 	}()
-	JumanjiPlacer{}.Place(in)
+	PlaceWith(JumanjiPlacer{}, in, nil)
 }
 
 func TestOversubscriptionNotUsedWhenVMsFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	in := testWorkload(4, 4, rng)
-	pl := JumanjiPlacer{AllowOversubscription: true}.Place(in)
+	pl := PlaceWith(JumanjiPlacer{AllowOversubscription: true}, in, nil)
 	if timeSharedCount(pl) != 0 {
 		t.Error("time-sharing engaged although VMs fit in banks")
 	}
@@ -529,7 +529,7 @@ func TestFixedPlacerBothModes(t *testing.T) {
 		if p.Name() == "" {
 			t.Error("empty name")
 		}
-		pl := p.Place(in)
+		pl := PlaceWith(p, in, nil)
 		if err := pl.Validate(in); err != nil {
 			t.Fatalf("nearest=%v: %v", nearest, err)
 		}
@@ -541,8 +541,8 @@ func TestFixedPlacerBothModes(t *testing.T) {
 		}
 	}
 	// D-NUCA mode places closer than S-NUCA mode.
-	near := FixedPlacer{Nearest: true}.Place(in)
-	far := FixedPlacer{Nearest: false}.Place(in)
+	near := PlaceWith(FixedPlacer{Nearest: true}, in, nil)
+	far := PlaceWith(FixedPlacer{Nearest: false}, in, nil)
 	app := in.LatCritApps()[0]
 	if near.AvgHops(app, in.Apps[app].Core) >= far.AvgHops(app, in.Apps[app].Core) {
 		t.Error("nearest mode not closer than striped mode")
@@ -562,7 +562,7 @@ func TestRawCurveJigsaw(t *testing.T) {
 	if p.Name() == "" {
 		t.Error("empty name")
 	}
-	pl := p.Place(in)
+	pl := PlaceWith(p, in, nil)
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}

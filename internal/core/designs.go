@@ -19,12 +19,7 @@ type StaticPlacer struct {
 // Name implements Placer.
 func (StaticPlacer) Name() string { return "Static" }
 
-// Place implements Placer.
-func (s StaticPlacer) Place(in *Input) *Placement {
-	return s.PlaceInto(in, NewPlacement(in.Machine))
-}
-
-// PlaceInto implements ScratchPlacer.
+// PlaceInto implements Placer.
 func (s StaticPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
 	ways := s.LatCritWays
@@ -67,12 +62,7 @@ type AdaptivePlacer struct{}
 // Name implements Placer.
 func (AdaptivePlacer) Name() string { return "Adaptive" }
 
-// Place implements Placer.
-func (p AdaptivePlacer) Place(in *Input) *Placement {
-	return p.PlaceInto(in, NewPlacement(in.Machine))
-}
-
-// PlaceInto implements ScratchPlacer.
+// PlaceInto implements Placer.
 func (AdaptivePlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
 	pl.Reset(in.Machine)
@@ -89,12 +79,7 @@ type VMPartPlacer struct{}
 // Name implements Placer.
 func (VMPartPlacer) Name() string { return "VM-Part" }
 
-// Place implements Placer.
-func (p VMPartPlacer) Place(in *Input) *Placement {
-	return p.PlaceInto(in, NewPlacement(in.Machine))
-}
-
-// PlaceInto implements ScratchPlacer.
+// PlaceInto implements Placer.
 func (VMPartPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
 	pl.Reset(in.Machine)

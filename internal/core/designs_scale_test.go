@@ -22,7 +22,7 @@ func fleetInput(t *testing.T, dim, nVMs int) *Input {
 // equally and the placement stays valid.
 func TestStaticFleetScale(t *testing.T) {
 	in := fleetInput(t, 16, 28) // 28 LC apps × 4 ways = 112 ≫ 32
-	pl := StaticPlacer{}.Place(in)
+	pl := PlaceWith(StaticPlacer{}, in, nil)
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestStaticFleetScale(t *testing.T) {
 // paper machine the fallback must not engage.
 func TestStaticSmallUnchanged(t *testing.T) {
 	in := testWorkload(4, 4, rand.New(rand.NewSource(7)))
-	pl := StaticPlacer{}.Place(in)
+	pl := PlaceWith(StaticPlacer{}, in, nil)
 	fourWays := 4 * in.Machine.WayBytes() * float64(in.Machine.Banks())
 	for _, app := range in.LatCritApps() {
 		if got := pl.TotalOf(app); got != fourWays {
@@ -71,7 +71,7 @@ func TestVMPartFleetScale(t *testing.T) {
 	for id := range in.LatSizes {
 		in.LatSizes[id] = 8 << 20
 	}
-	pl := VMPartPlacer{}.Place(in)
+	pl := PlaceWith(VMPartPlacer{}, in, nil)
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}

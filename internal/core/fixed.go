@@ -25,12 +25,7 @@ func (p FixedPlacer) Name() string {
 	return "Fixed (S-NUCA)"
 }
 
-// Place implements Placer.
-func (p FixedPlacer) Place(in *Input) *Placement {
-	return p.PlaceInto(in, NewPlacement(in.Machine))
-}
-
-// PlaceInto implements ScratchPlacer.
+// PlaceInto implements Placer.
 func (p FixedPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
 	pl.Reset(in.Machine)

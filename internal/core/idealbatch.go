@@ -20,12 +20,7 @@ type IdealBatchPlacer struct{}
 // Name implements Placer.
 func (IdealBatchPlacer) Name() string { return "Jumanji: Ideal Batch" }
 
-// Place implements Placer.
-func (p IdealBatchPlacer) Place(in *Input) *Placement {
-	return p.PlaceInto(in, NewPlacement(in.Machine))
-}
-
-// PlaceInto implements ScratchPlacer.
+// PlaceInto implements Placer.
 func (p IdealBatchPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
 	// The same safety valve as JumanjiPlacer: fleet-scale controller demand

@@ -19,12 +19,7 @@ type JigsawPlacer struct{}
 // Name implements Placer.
 func (JigsawPlacer) Name() string { return "Jigsaw" }
 
-// Place implements Placer.
-func (p JigsawPlacer) Place(in *Input) *Placement {
-	return p.PlaceInto(in, NewPlacement(in.Machine))
-}
-
-// PlaceInto implements ScratchPlacer.
+// PlaceInto implements Placer.
 func (JigsawPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	return jigsawPlace(in, true, pl)
 }
@@ -38,12 +33,7 @@ type RawCurveJigsawPlacer struct{}
 // Name implements Placer.
 func (RawCurveJigsawPlacer) Name() string { return "Jigsaw (raw curves)" }
 
-// Place implements Placer.
-func (p RawCurveJigsawPlacer) Place(in *Input) *Placement {
-	return p.PlaceInto(in, NewPlacement(in.Machine))
-}
-
-// PlaceInto implements ScratchPlacer.
+// PlaceInto implements Placer.
 func (RawCurveJigsawPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	return jigsawPlace(in, false, pl)
 }

@@ -46,12 +46,7 @@ func (p JumanjiPlacer) Name() string {
 	return "Jumanji"
 }
 
-// Place implements Placer.
-func (p JumanjiPlacer) Place(in *Input) *Placement {
-	return p.PlaceInto(in, NewPlacement(in.Machine))
-}
-
-// PlaceInto implements ScratchPlacer.
+// PlaceInto implements Placer.
 func (p JumanjiPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
 	// Safety valve: if the controllers' demands make bank-granular VM

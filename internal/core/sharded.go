@@ -42,7 +42,7 @@ import (
 type ShardedPlacer struct {
 	// Inner is the flat placer run inside each region; nil means
 	// JumanjiPlacer{}.
-	Inner ScratchPlacer
+	Inner Placer
 	// RegionW, RegionH bound each region's dimensions; non-positive values
 	// default to DefaultRegionDim. Values larger than the mesh clamp to it
 	// (one region = flat placement).
@@ -59,7 +59,7 @@ type ShardedPlacer struct {
 // acceptance bar is ≥5×, gated by cmd/benchdiff).
 const DefaultRegionDim = 4
 
-func (p ShardedPlacer) inner() ScratchPlacer {
+func (p ShardedPlacer) inner() Placer {
 	if p.Inner != nil {
 		return p.Inner
 	}
@@ -81,12 +81,7 @@ func (p ShardedPlacer) regionDims() (int, int) {
 // different management policy, so the design keeps the inner placer's name.
 func (p ShardedPlacer) Name() string { return p.inner().Name() }
 
-// Place implements Placer.
-func (p ShardedPlacer) Place(in *Input) *Placement {
-	return p.PlaceInto(in, NewPlacement(in.Machine))
-}
-
-// PlaceInto implements ScratchPlacer.
+// PlaceInto implements Placer.
 func (p ShardedPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
 	s := getShardScratch()

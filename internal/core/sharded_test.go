@@ -50,14 +50,14 @@ func TestShardedSingleRegionBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, dims := range [][2]int{{5, 4}, {6, 6}} {
 		m := Machine{Mesh: topo.NewMesh(dims[0], dims[1]), BankBytes: 1 << 20, WaysPerBank: 32}
-		for _, inner := range []ScratchPlacer{JumanjiPlacer{}, JumanjiPlacer{Insecure: true}, JigsawPlacer{}} {
+		for _, inner := range []Placer{JumanjiPlacer{}, JumanjiPlacer{Insecure: true}, JigsawPlacer{}} {
 			for trial := 0; trial < 8; trial++ {
 				in := testWorkloadOn(m, 1+rng.Intn(4), 1+rng.Intn(5), rng)
 				for id := range in.LatSizes {
 					in.LatSizes[id] = float64(1+rng.Intn(40)) * m.WayBytes()
 				}
-				flat := inner.Place(in)
-				sharded := ShardedPlacer{Inner: inner, RegionW: m.Mesh.W, RegionH: m.Mesh.H}.Place(in)
+				flat := PlaceWith(inner, in, nil)
+				sharded := PlaceWith(ShardedPlacer{Inner: inner, RegionW: m.Mesh.W, RegionH: m.Mesh.H}, in, nil)
 				requireBitwiseEqual(t, in, flat, sharded, inner.Name())
 			}
 		}
@@ -81,7 +81,7 @@ func TestShardedMultiRegionValidAndIsolated(t *testing.T) {
 		nVMs := m.Banks() / 9
 		in := testWorkloadOn(m, nVMs, 4, rng)
 		p := ShardedPlacer{Inner: JumanjiPlacer{}, RegionW: c.rw, RegionH: c.rh}
-		pl := p.Place(in)
+		pl := PlaceWith(p, in, nil)
 		if err := pl.Validate(in); err != nil {
 			t.Fatalf("%dx%d/%dx%d: %v", c.w, c.h, c.rw, c.rh, err)
 		}
@@ -111,8 +111,8 @@ func TestShardedParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	m := Machine{Mesh: topo.NewMesh(12, 12), BankBytes: 1 << 20, WaysPerBank: 32}
 	in := testWorkloadOn(m, m.Banks()/9, 4, rng)
-	serial := ShardedPlacer{RegionW: 8, RegionH: 8}.Place(in)
-	parallel := ShardedPlacer{RegionW: 8, RegionH: 8, Parallel: true}.Place(in)
+	serial := PlaceWith(ShardedPlacer{RegionW: 8, RegionH: 8}, in, nil)
+	parallel := PlaceWith(ShardedPlacer{RegionW: 8, RegionH: 8, Parallel: true}, in, nil)
 	requireBitwiseEqual(t, in, serial, parallel, "parallel-vs-serial")
 }
 
@@ -124,11 +124,11 @@ func TestShardedOversubscribedDelegates(t *testing.T) {
 	m := DefaultMachine()
 	in := testWorkloadOn(m, m.Banks()+4, 0, rng)
 	p := ShardedPlacer{Inner: JumanjiPlacer{AllowOversubscription: true}, RegionW: 2, RegionH: 2}
-	pl := p.Place(in)
+	pl := PlaceWith(p, in, nil)
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	flat := JumanjiPlacer{AllowOversubscription: true}.Place(in)
+	flat := PlaceWith(JumanjiPlacer{AllowOversubscription: true}, in, nil)
 	requireBitwiseEqual(t, in, flat, pl, "oversubscribed")
 	if timeSharedCount(pl) == 0 {
 		t.Fatal("oversubscribed sharded placement marked nothing time-shared")

@@ -58,12 +58,7 @@ func (p *TradePlacer) hullOf(in *Input, app AppID) mrc.Curve {
 // Name implements Placer.
 func (p *TradePlacer) Name() string { return "Jumanji: Trading" }
 
-// Place implements Placer.
-func (p *TradePlacer) Place(in *Input) *Placement {
-	return p.PlaceInto(in, NewPlacement(in.Machine))
-}
-
-// PlaceInto implements ScratchPlacer.
+// PlaceInto implements Placer.
 func (p *TradePlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	JumanjiPlacer{}.PlaceInto(in, pl)
 	memLat := p.MemLatency

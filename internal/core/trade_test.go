@@ -13,7 +13,7 @@ func TestTradePlacerValidAndIsolated(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		in := testWorkload(4, 4, rng)
 		p := &TradePlacer{}
-		pl := p.Place(in)
+		pl := PlaceWith(p, in, nil)
 		if err := pl.Validate(in); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -29,9 +29,9 @@ func TestTradePlacerNeverPenalizesLatencyCritical(t *testing.T) {
 	// worse than under plain Jumanji.
 	rng := rand.New(rand.NewSource(37))
 	in := testWorkload(4, 4, rng)
-	base := JumanjiPlacer{}.Place(in)
+	base := PlaceWith(JumanjiPlacer{}, in, nil)
 	p := &TradePlacer{}
-	traded := p.Place(in)
+	traded := PlaceWith(p, in, nil)
 	for _, app := range in.LatCritApps() {
 		spec := in.Apps[app]
 		cost := func(pl *Placement) float64 {
@@ -50,7 +50,7 @@ func TestTradePlacerConservesBankCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	in := testWorkload(4, 4, rng)
 	p := &TradePlacer{}
-	pl := p.Place(in)
+	pl := PlaceWith(p, in, nil)
 	for b := 0; b < in.Machine.Banks(); b++ {
 		if used := pl.BankUsed(topo.TileID(b)); used > in.Machine.BankBytes*(1+1e-9) {
 			t.Fatalf("bank %d over-committed after trading: %g", b, used)
@@ -66,7 +66,7 @@ func TestTradesAreRare(t *testing.T) {
 	epochs := 0
 	for trial := 0; trial < 20; trial++ {
 		in := testWorkload(4, 4, rng)
-		p.Place(in)
+		PlaceWith(p, in, nil)
 		epochs++
 	}
 	if p.TradesAccepted > p.TradesAttempted {
@@ -84,8 +84,8 @@ func TestTradePlacerMatchesJumanjiWhenNoBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	in := testWorkload(4, 0, rng)
 	p := &TradePlacer{}
-	traded := p.Place(in)
-	base := JumanjiPlacer{}.Place(in)
+	traded := PlaceWith(p, in, nil)
+	base := PlaceWith(JumanjiPlacer{}, in, nil)
 	for _, app := range in.LatCritApps() {
 		if math.Abs(traded.TotalOf(app)-base.TotalOf(app)) > 1 {
 			t.Errorf("app %d differs without batch apps present", app)

@@ -203,43 +203,28 @@ func (in *Input) AppendBatchApps(dst []AppID) []AppID {
 type Placer interface {
 	// Name identifies the design in reports ("Jumanji", "Jigsaw", ...).
 	Name() string
-	// Place computes the epoch's allocation. Implementations must return a
-	// placement that passes Placement.Validate for the same input.
-	Place(in *Input) *Placement
-}
-
-// ScratchPlacer is implemented by placers that can compute into a
-// caller-provided Placement, so an epoch loop reuses one scratch placement
-// instead of allocating a fresh one every reconfiguration. All placers in
-// this package implement it.
-type ScratchPlacer interface {
-	Placer
 	// PlaceInto computes the epoch's allocation into pl (resetting it
-	// first) and returns pl. The result is identical to Place(in).
+	// first) and returns pl, so an epoch loop reuses one scratch placement
+	// instead of allocating a fresh one every reconfiguration.
+	// Implementations must return a placement that passes
+	// Placement.Validate for the same input.
 	PlaceInto(in *Input, pl *Placement) *Placement
 }
 
-// PlaceWith runs p via PlaceInto when p supports scratch reuse, recycling
-// pl; otherwise it falls back to p.Place. pl may be nil (a fresh placement
-// is allocated).
+// PlaceWith runs p.PlaceInto, recycling pl. pl may be nil (a fresh
+// placement is allocated).
 func PlaceWith(p Placer, in *Input, pl *Placement) *Placement {
-	if sp, ok := p.(ScratchPlacer); ok {
-		if pl == nil {
-			pl = NewPlacement(in.Machine)
-		}
-		return sp.PlaceInto(in, pl)
+	if pl == nil {
+		pl = NewPlacement(in.Machine)
 	}
-	return p.Place(in)
+	return p.PlaceInto(in, pl)
 }
 
 // PlaceWithSpans is PlaceWith timed under the "core.place" phase. The epoch
 // runners call it so every reconfiguration's placement cost is visible in
-// -spans and /statusz; with spans disabled (nil) the only overhead is one
-// nil check.
+// -spans and /statusz; with spans disabled (nil) Start and Stop return at
+// once.
 func PlaceWithSpans(p Placer, in *Input, pl *Placement, spans *obs.Spans) *Placement {
-	if spans == nil {
-		return PlaceWith(p, in, pl)
-	}
 	sp := spans.Start("core.place")
 	pl = PlaceWith(p, in, pl)
 	sp.Stop()

@@ -225,7 +225,7 @@ func (d *Driver) RunEpoch() EpochStats {
 	in := d.buildInput()
 	sp.Stop()
 	sp = d.cfg.Spans.Start("driver.place")
-	pl := d.cfg.Placer.Place(in)
+	pl := core.PlaceWith(d.cfg.Placer, in, nil)
 	sp.Stop()
 	sp = d.cfg.Spans.Start("driver.install")
 	invalidated := d.install(pl)

@@ -193,7 +193,7 @@ func TestPlacementChangeInvalidates(t *testing.T) {
 	// Swap the placer by hand: install a striped placement and check the
 	// walk dropped lines from the old home bank.
 	in := dNear.buildInput()
-	striped := core.FixedPlacer{Nearest: false}.Place(in)
+	striped := core.PlaceWith(core.FixedPlacer{Nearest: false}, in, nil)
 	invalidated := dNear.install(striped)
 	if invalidated == 0 {
 		t.Error("moving the allocation should invalidate lines (coherence walk)")

@@ -62,7 +62,7 @@ type Options struct {
 	// Engine, when set, layers crash safety over every cell fan-out: the
 	// journal/resume protocol, keep-going failure isolation, per-cell
 	// watchdog deadlines, and single-cell repro mode (internal/sweep). Nil
-	// (the default) is the historical zero-overhead path.
+	// (the default) turns every layer off.
 	Engine *sweep.Engine
 	// Chaos injects deterministic faults into the simulator runs inside
 	// each cell (internal/chaos); the cell-panic fault fires in the sweep
@@ -153,8 +153,8 @@ func loadLabel(high bool) string {
 //
 // The label names this sweep in journal records, resume lookups, failure
 // reports, and -cell repro coordinates; it must be stable across runs and
-// unique per distinct cell grid. With o.Engine nil the sweep layer is the
-// historical zero-overhead fan-out.
+// unique per distinct cell grid. With o.Engine nil, sweep.Cells adds no
+// allocation per cell to the bare fan-out.
 func runCells[T any](o Options, label string, n int, cell func(i int, co Options) T) []T {
 	return sweep.Cells(o.Engine, o.Sinks, label, o.Seed, o.Parallel, n,
 		func(i int, c *obs.Cell, ctx context.Context) T {

@@ -6,10 +6,10 @@
 // bit-identical to a serial run regardless of worker count or completion
 // order.
 //
-// The package deliberately exposes only index-addressed fan-out (Map and its
-// recovering variant MapRecover), not channels or futures: deterministic
-// merging is the whole point, and a result slice indexed by job keeps "merge
-// in cell order" trivial for every caller.
+// The package deliberately exposes only index-addressed fan-out
+// (MapRecover), not channels or futures: deterministic merging is the whole
+// point, and a result slice indexed by job keeps "merge in cell order"
+// trivial for every caller.
 package parallel
 
 import (
@@ -33,8 +33,8 @@ func Workers(n int) int {
 
 // Failure records one job's recovered panic: the job index, the panic value,
 // and the failing goroutine's stack captured at the recovery point. It
-// implements error with the same "parallel: job %d panicked" wrapping Map
-// has always re-raised, so failing cells stay identifiable either way.
+// implements error with the "parallel: job %d panicked" wrapping a
+// fail-fast sweep re-raises, so failing cells stay identifiable either way.
 type Failure struct {
 	Index int    // job index that panicked
 	Value any    // the recovered panic value
@@ -63,10 +63,11 @@ func (s *Stopper) Stop() {
 // Stopped reports whether Stop has been called.
 func (s *Stopper) Stopped() bool { return s != nil && s.flag.Load() }
 
-// CombinedError folds one or more failures into the error Map re-raises:
-// deterministically the one with the lowest job index, with every failing
-// index listed when there are several. Sorting by index — never by which
-// worker lost the race — keeps a multi-failure sweep's panic reproducible.
+// CombinedError folds one or more failures into the error a fail-fast sweep
+// re-raises (sweep.Cells with a nil engine): deterministically the one with
+// the lowest job index, with every failing index listed when there are
+// several. Sorting by index — never by which worker lost the race — keeps a
+// multi-failure sweep's panic reproducible.
 func CombinedError(failures []Failure) error {
 	if len(failures) == 0 {
 		return nil
@@ -86,35 +87,22 @@ func CombinedError(failures []Failure) error {
 		first.Index, first.Value, strings.Join(idx, ", "))
 }
 
-// Map runs job(0..n-1) across `workers` goroutines and returns the results
-// indexed by job, so output order is independent of scheduling. workers <= 1
-// (or n <= 1) runs every job inline on the calling goroutine — the exact
-// serial path, with no goroutines involved. Jobs are handed out by an atomic
-// counter, so long and short jobs share the pool without static chunking.
+// MapRecover runs job(0..n-1) across `workers` goroutines and returns the
+// results indexed by job, so output order is independent of scheduling.
+// workers <= 1 (or n <= 1) runs every job inline on the calling goroutine —
+// the exact serial path, with no goroutines involved. Jobs are handed out by
+// an atomic counter, so long and short jobs share the pool without static
+// chunking.
 //
-// A panic inside a job stops further jobs from starting, drains the pool,
-// and is re-raised on the calling goroutine wrapped with the failing job's
-// index. When several jobs panic before the pool drains, the re-raised panic
-// is deterministically the lowest failing index (CombinedError), listing all
-// of them. The simulator's convention is that invalid configuration panics,
-// and a sweep of hundreds of cells is undebuggable unless the panic names
-// which cell blew up.
-func Map[T any](workers, n int, job func(int) T) []T {
-	out, failures, _ := MapRecover(workers, n, nil, true, job)
-	if err := CombinedError(failures); err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// MapRecover is Map's failure-isolating variant: every panicking job is
-// recovered into a Failure (with its stack) instead of aborting the sweep,
-// and the caller decides what a degraded run means. It returns the results
-// indexed by job (zero values at failed or skipped indices), the failures
-// sorted by job index, and the indices of jobs that never started — because
-// stop was triggered, or because failFast ended the run after the first
-// failure. failFast=false is "keep going": every job runs regardless of how
-// many fail.
+// Every panicking job is recovered into a Failure (with its stack) instead
+// of aborting the sweep, and the caller decides what a failure means: the
+// simulator's convention is that invalid configuration panics, and a sweep
+// of hundreds of cells is undebuggable unless the panic names which cell
+// blew up (CombinedError). MapRecover returns the results (zero values at
+// failed or skipped indices), the failures sorted by job index, and the
+// indices of jobs that never started — because stop was triggered, or
+// because failFast ended the run after the first failure. failFast=false is
+// "keep going": every job runs regardless of how many fail.
 func MapRecover[T any](workers, n int, stop *Stopper, failFast bool, job func(int) T) (out []T, failures []Failure, skipped []int) {
 	if n <= 0 {
 		return nil, nil, nil

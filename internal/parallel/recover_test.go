@@ -7,53 +7,34 @@ import (
 	"time"
 )
 
-// Satellite pin: when several jobs panic in one pooled run, Map must re-raise
-// the lowest failing index — not whichever worker loses the race — and the
-// message must list every failing index.
+// Satellite pin: when several jobs panic in one pooled fail-fast run, the
+// combined error must name the lowest failing index — not whichever worker
+// loses the race — and must list every failing index.
 func TestMapMultiPanicReRaisesLowestIndex(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		err := func() (err error) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("expected Map to panic")
-				}
-				e, ok := r.(error)
-				if !ok {
-					t.Fatalf("panic value is %T, want error", r)
-				}
-				err = e
-			}()
-			// Keep-going semantics are not in play here: with failFast, the
-			// race decides how many of the three panics actually fire, but
-			// all panicking jobs are forced to run before any worker can see
-			// the failed flag only if they start first. To make the test
-			// deterministic we panic in jobs 23, 41, and 7 and use keep-going
-			// via MapRecover below for the full list; for Map we only require
-			// that the re-raised index is the lowest among whichever fired.
-			Map(4, 50, func(i int) int {
-				if i == 7 || i == 23 || i == 41 {
-					// Let sibling panics land before fail-fast halts handout.
-					time.Sleep(5 * time.Millisecond)
-					panic("boom")
-				}
-				return i
-			})
-			return nil
-		}()
+		// With failFast the race decides how many of the three panics
+		// fire; we only require that the named index is the lowest among
+		// whichever did (the sleep normally lets all three land).
+		_, failures, _ := MapRecover(4, 50, nil, true, func(i int) int {
+			if i == 7 || i == 23 || i == 41 {
+				// Let sibling panics land before fail-fast halts handout.
+				time.Sleep(5 * time.Millisecond)
+				panic("boom")
+			}
+			return i
+		})
+		err := CombinedError(failures)
+		if err == nil {
+			t.Fatal("expected a failure")
+		}
 		msg := err.Error()
 		if !strings.Contains(msg, "boom") {
 			t.Fatalf("message %q does not mention the panic value", msg)
 		}
-		// The re-raised index must be the lowest index among the listed
-		// failures; with the sleep all three normally fire together.
 		if !strings.Contains(msg, "job 7 panicked") {
-			t.Fatalf("message %q does not re-raise the lowest failing index", msg)
+			t.Fatalf("message %q does not name the lowest failing index", msg)
 		}
 		if strings.Contains(msg, "all failing jobs:") {
-			if !strings.Contains(msg, "7") {
-				t.Fatalf("failing-jobs list in %q omits job 7", msg)
-			}
 			if idx := strings.Index(msg, "all failing jobs: 7"); idx < 0 {
 				t.Fatalf("failing-jobs list in %q is not sorted from the lowest index", msg)
 			}

@@ -19,6 +19,8 @@ func FuzzSpec(f *testing.F) {
 		`{"type":"compare","epochs":-5,"warmup":9}`,
 		`{"type":"nope"}`,
 		`[]`,
+		`{"type":"compare","lc":"nosuch"}`,
+		`{"type":"compare","vms":3}`,
 	} {
 		f.Add([]byte(s))
 	}

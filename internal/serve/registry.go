@@ -150,7 +150,10 @@ func compareRunner() *Runner {
 			if sp.Fig != 0 || sp.Table != 0 || sp.Mixes != 0 {
 				return fmt.Errorf("compare specs take no fig/table/mixes")
 			}
-			return nil
+			// An unknown lc or unsupported vms only fails when the workload
+			// is built, so build it here rather than admit a doomed spec.
+			_, err := jumanji.WorkloadFor(sp.LC, sp.VMs, sp.Seed)(jumanji.DefaultOptions())
+			return err
 		},
 		Run: func(ctx context.Context, sp *Spec, env Env) ([]byte, error) {
 			opts := jumanji.DefaultOptions()
@@ -171,17 +174,12 @@ func compareRunner() *Runner {
 				}
 				designs = []jumanji.Design{d}
 			}
-			results, err := jumanji.Compare(opts, compareWorkload(sp), designs...)
+			results, err := jumanji.Compare(opts, jumanji.WorkloadFor(sp.LC, sp.VMs, sp.Seed), designs...)
 			if err != nil {
 				return nil, err
 			}
 			var buf bytes.Buffer
-			fmt.Fprintf(&buf, "%-22s %14s %14s %14s %12s\n",
-				"design", "tail/deadline", "speedup", "vulnerability", "energy (mJ)")
-			for _, r := range results {
-				fmt.Fprintf(&buf, "%-22s %14.2f %14.3f %14.2f %12.2f\n",
-					r.Design, r.WorstNormTail, r.SpeedupVsStatic, r.Vulnerability, r.Energy.Total()/1e6)
-			}
+			jumanji.WriteTable(&buf, results)
 			return buf.Bytes(), nil
 		},
 		Repro: func(sp *Spec, label string, cell int) string {
@@ -189,20 +187,6 @@ func compareRunner() *Runner {
 				strings.ToLower(sp.Design), sp.LC, sp.Load, sp.Epochs, sp.Warmup, sp.Seed, sp.VMs, label, cell)
 		},
 	}
-}
-
-// compareWorkload mirrors jumanji-sim's workload selection.
-func compareWorkload(sp *Spec) func(jumanji.Options) (jumanji.Workload, error) {
-	if strings.EqualFold(sp.LC, "datacenter") {
-		return jumanji.Datacenter(sp.Seed)
-	}
-	if sp.VMs != 4 {
-		return jumanji.Scaling(sp.VMs, sp.Seed)
-	}
-	if strings.EqualFold(sp.LC, "mixed") {
-		return jumanji.MixedCaseStudy(sp.Seed)
-	}
-	return jumanji.CaseStudy(sp.LC, sp.Seed)
 }
 
 // harnessOptions maps a normalized figure/table spec onto the harness's

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -167,6 +168,8 @@ func TestMalformedSubmissions(t *testing.T) {
 		`{"type":"warp-drive"}`,
 		`{"type":"figure","fig":3}`,
 		`{"type":"compare","load":"sideways"}`,
+		`{"type":"compare","lc":"nosuch"}`,
+		`{"type":"compare","vms":3}`,
 	} {
 		resp, err := http.Post(base+"/experiments", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -401,6 +404,51 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	s2.mu.Unlock()
 	if recovered != 1 || resumed == 0 {
 		t.Fatalf("recovery counters: recovered=%d resumed_cells=%d", recovered, resumed)
+	}
+}
+
+// Older builds admitted compare specs that Validate now rejects (an
+// unknown lc, an unsupported vms count), and the store keeps every spec.
+// Resume must still start over such a state directory: an unfinished one
+// is marked failed, one the old worker already failed keeps its result,
+// and a valid spec alongside them still runs.
+func TestResumeOverSpecsNowInvalid(t *testing.T) {
+	dir := t.TempDir()
+	st, err := openStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each spec as the older Validate left it: defaults filled in.
+	doomed := func(lc string, vms int) *Spec {
+		return &Spec{Type: "compare", Design: "jumanji", LC: lc, Load: "high", VMs: vms, Epochs: 6, Warmup: 2, Seed: 1}
+	}
+	unfinished, ranBefore := doomed("nosuch", 4), doomed("xapian", 3)
+	valid := mustNormalize(t, tinySpec(1))
+	for i, sp := range []*Spec{unfinished, ranBefore, valid} {
+		if err := st.SaveSpec(&SpecDoc{ID: fmt.Sprintf("exp-%06d", i+1), Seq: uint64(i + 1), Spec: sp}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp := ranBefore.Fingerprint()
+	if err := st.SaveResult(FPHash(fp), &ResultDoc{ID: "exp-000002", Fingerprint: fp, Type: "compare",
+		State: StateFailed, Attempts: 1, Error: "unsupported VM count 3"}); err != nil {
+		t.Fatal(err)
+	}
+
+	_, base := startServer(t, func(c *Config) { c.StateDir = dir; c.Resume = true })
+	if got := waitTerminal(t, base, "exp-000001"); got.State != StateFailed ||
+		!strings.Contains(got.Error, "no longer valid") || !strings.Contains(got.Error, "nosuch") {
+		t.Fatalf("unfinished invalid spec: %q (%s)", got.State, got.Error)
+	}
+	if got := waitTerminal(t, base, "exp-000002"); got.State != StateFailed || got.Error != "unsupported VM count 3" {
+		t.Fatalf("previously failed spec: %q (%s)", got.State, got.Error)
+	}
+	if got := waitTerminal(t, base, "exp-000003"); got.State != StateDone {
+		t.Fatalf("valid recovered spec: %q (%s)", got.State, got.Error)
+	}
+	ack, resp := submit(t, base, tinySpec(2))
+	if resp.StatusCode != http.StatusAccepted || ack.ID != "exp-000004" {
+		t.Fatalf("new submission after recovery: %d %+v", resp.StatusCode, ack)
 	}
 }
 

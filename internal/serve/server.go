@@ -181,9 +181,7 @@ func (s *Server) recover() error {
 			return fmt.Errorf("serve: recovering %s: unknown experiment type %q (registry has %v)",
 				doc.ID, doc.Spec.Type, s.cfg.Registry.Types())
 		}
-		if err := rn.Validate(doc.Spec); err != nil {
-			return fmt.Errorf("serve: recovering %s: %w", doc.ID, err)
-		}
+		verr := rn.Validate(doc.Spec)
 		fp := doc.Spec.Fingerprint()
 		e := &Experiment{
 			ID: doc.ID, Seq: doc.Seq, Spec: doc.Spec,
@@ -194,14 +192,23 @@ func (s *Server) recover() error {
 		if err != nil {
 			return err
 		}
-		if res != nil && terminal(res.State) {
+		switch {
+		case res != nil && terminal(res.State):
 			e.State = res.State
 			e.Attempts = res.Attempts
 			e.Err = res.Error
 			e.Failed = res.Failed
 			e.Output = []byte(res.Output)
 			close(e.done)
-		} else {
+		case verr != nil:
+			// Admitted under looser validation by an older build and never
+			// finished: it can only fail, so fail it here rather than
+			// refuse to start over a spec the store keeps forever.
+			e.State = StateFailed
+			e.Err = fmt.Sprintf("spec no longer valid: %v", verr)
+			close(e.done)
+			s.logf("serve: recovering %s: %v; marked failed", doc.ID, verr)
+		default:
 			e.State = StateQueued
 			s.queue.Restore(e)
 			s.counter("serve.recovered")

@@ -61,6 +61,8 @@ func TestValidateRejects(t *testing.T) {
 		{"compare", &Spec{Type: "compare", Load: "sideways"}, "load"},
 		{"compare", &Spec{Type: "compare", Design: "warp-drive"}, "design"},
 		{"compare", &Spec{Type: "compare", Fig: 12}, "no fig"},
+		{"compare", &Spec{Type: "compare", LC: "nosuch"}, `unknown latency-critical app "nosuch"`},
+		{"compare", &Spec{Type: "compare", VMs: 3}, "unsupported VM count 3"},
 		{"figure", &Spec{Type: "figure", Fig: 3}, "no figure 3"},
 		{"figure", &Spec{Type: "figure", Fig: 12, Warmup: 50, Epochs: 10}, "warmup"},
 		{"table", &Spec{Type: "table", Table: 9}, "no table 9"},

@@ -15,8 +15,8 @@ import (
 
 // CLI is the shared command-line surface for the crash-safety layer:
 // cmd/figures and cmd/jumanji-sim both register these flags and build one
-// Engine from them. The zero value with no flags set builds a nil Engine —
-// the historical zero-overhead path.
+// Engine from them. The zero value with no flags set builds a nil Engine,
+// which turns every layer off.
 type CLI struct {
 	Journal   string
 	Resume    string
@@ -43,7 +43,7 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 }
 
 // Enabled reports whether any resilience feature was requested; when false,
-// Build returns a nil Engine and the sweeps take the zero-overhead path.
+// Build returns a nil Engine and the sweeps run with every layer off.
 func (c *CLI) Enabled() bool {
 	return c.Journal != "" || c.Resume != "" || c.KeepGoing || c.Cell != "" ||
 		c.Soft > 0 || c.Hard > 0 || c.ChaosSpec != ""

@@ -4,11 +4,11 @@
 // resume, keep-going failure isolation, watchdogs, and fault injection over
 // internal/parallel's worker pool.
 //
-// The layering is strictly pay-for-what-you-use: with a nil *Engine, Cells is
-// exactly the fan-out the harness has always run — parallel.Map over private
-// obs cells merged in index order — with zero added allocations per cell
-// (BenchmarkSweepOverhead pins this). With an Engine, each completed cell's
-// result and observability state are gob-encoded and appended to a
+// Cells has one body for every mode, and each layer costs only when enabled:
+// with a nil *Engine the body is parallel.MapRecover over private obs cells
+// merged in index order, with zero allocations per cell beyond the bare
+// fan-out (BenchmarkSweepOverhead pins this). With an Engine, each completed
+// cell's result and observability state are gob-encoded and appended to a
 // crash-safe journal (internal/journal) keyed by (label, cell, seed); a
 // resume run replays journalled cells through obs.CellFromState and runs only
 // the remainder, producing byte-identical merged output. Keep-going mode
@@ -148,8 +148,8 @@ func (e *OnlyDone) Error() string {
 	return fmt.Sprintf("sweep: single cell %s complete", e.Ref)
 }
 
-// Engine configures the crash-safety layer for a run. A nil *Engine is the
-// zero-overhead fast path. One Engine is shared across all of a run's sweeps
+// Engine configures the crash-safety layer for a run. A nil *Engine turns
+// every layer off. One Engine is shared across all of a run's sweeps
 // (a figure may fan out several labelled sweeps); its Report accumulates.
 type Engine struct {
 	// Journal, when set, receives one fsync'd record per completed cell.
@@ -218,111 +218,30 @@ func (e *Engine) repro(label string, cell int) string {
 // in s) and, when a hard deadline is armed, a context that the watchdog
 // cancels; the context is nil otherwise, costing nothing. Results are merged
 // and returned in cell-index order.
+//
+// Every mode runs this one body. A nil Engine leaves every engine hook nil,
+// so the closure carries nothing the bare fan-out would not, and a panicking
+// cell re-panics parallel.CombinedError before anything merges. When
+// Engine.Only names this sweep, its one cell runs serially with no resume,
+// journal, stopper or watchdog and no recovery, then the sweep panics
+// *OnlyDone (a panic in the cell propagates unrecovered).
 func Cells[T any](e *Engine, s obs.Sinks, label string, seed int64, workers, n int,
 	run func(i int, c *obs.Cell, ctx context.Context) T) []T {
-	if e == nil {
-		return cellsFast(s, workers, n, run)
-	}
-	if e.Only != nil && e.Only.Label == label {
-		return cellsOnly(e, s, label, n, run)
-	}
-	return cellsFull(e, s, label, seed, workers, n, run)
-}
-
-// cellsFast is the historical harness fan-out, byte for byte: no journal, no
-// recovery, no per-cell context. Kept as its own function so the disabled
-// path adds zero allocations per cell by construction.
-func cellsFast[T any](s obs.Sinks, workers, n int, run func(i int, c *obs.Cell, ctx context.Context) T) []T {
-	s.Progress.Begin(n, parallel.Workers(min(workers, n)))
-	cells := make([]*obs.Cell, n)
-	out := parallel.Map(workers, n, func(i int) T {
-		t0 := time.Now()
-		cells[i] = s.NewCell()
-		res := run(i, cells[i], nil)
-		d := time.Since(t0)
-		s.Spans.Record("harness.cell", t0, d)
-		s.Progress.CellDone(d)
-		return res
-	})
-	merge(s, cells)
-	return out
-}
-
-// cellsOnly runs the single cell named by Engine.Only, serially and without
-// journaling (it is a repro mode), then panics *OnlyDone so the figure's
-// aggregation never sees the other cells' zero values.
-func cellsOnly[T any](e *Engine, s obs.Sinks, label string, n int, run func(i int, c *obs.Cell, ctx context.Context) T) []T {
-	i := e.Only.Cell
-	if i < 0 || i >= n {
-		panic(fmt.Errorf("sweep: cell %s:%d out of range (sweep %q has %d cells)", label, i, label, n))
-	}
-	s.Progress.Begin(1, 1)
-	c := s.NewCell()
-	if e.Chaos.Fires(chaos.CellPanic, int64(i), labelKey(label)) {
-		panic(fmt.Sprintf("chaos: injected panic in cell %s:%d", label, i))
-	}
-	t0 := time.Now()
-	run(i, c, nil)
-	d := time.Since(t0)
-	s.Spans.Record("harness.cell", t0, d)
-	s.Progress.CellDone(d)
-	merge(s, []*obs.Cell{c})
-	panic(&OnlyDone{Ref: CellRef{Label: label, Cell: i}})
-}
-
-// cellsFull is the engine path: resume, journal, chaos, watchdog, and
-// failure isolation around each cell.
-func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers, n int,
-	run func(i int, c *obs.Cell, ctx context.Context) T) []T {
-	s.Progress.Begin(n, parallel.Workers(min(workers, n)))
-
-	var wd *parallel.Watchdog
-	if e.Soft > 0 || e.Hard > 0 {
-		s.Spans.TrackActive()
-		wd = &parallel.Watchdog{
-			Soft: e.Soft,
-			Hard: e.Hard,
-			OnStuck: func(i int, running time.Duration) {
-				e.mu.Lock()
-				e.report.Stuck++
-				e.mu.Unlock()
-				phase := ""
-				if act := s.Spans.Active(); len(act) > 0 {
-					last := act[len(act)-1]
-					phase = fmt.Sprintf(" (in %s for %s)", last.Name,
-						time.Since(last.Start).Round(time.Millisecond))
-				}
-				e.logf("sweep: cell %s:%d running for %s, past the soft deadline%s",
-					label, i, running.Round(time.Millisecond), phase)
-			},
-			OnHard: func(i int, running time.Duration) {
-				e.logf("sweep: cell %s:%d exceeded the hard deadline after %s; canceling",
-					label, i, running.Round(time.Millisecond))
-			},
-		}
-		defer wd.Close()
+	r, wd, only := e.start(s, label, n)
+	defer wd.Close()
+	stop, failFast := (*parallel.Stopper)(nil), true
+	if r != nil {
+		stop, failFast = e.Stop, !e.KeepGoing
 	}
 
 	cells := make([]*obs.Cell, n)
-	var journalLost sync.Once
-	// recordJournalErr surfaces one lost journal record: counted (and the
-	// first error kept, with its cell label) in the report, logged once per
-	// sweep so a full disk does not spam a thousand-cell run.
-	recordJournalErr := func(err error) {
-		e.mu.Lock()
-		e.report.JournalErrors++
-		if e.report.JournalErr == "" {
-			e.report.JournalErr = err.Error()
-		}
-		e.mu.Unlock()
-		journalLost.Do(func() {
-			e.logf("sweep: %v; continuing without crash safety for affected cells", err)
-		})
-	}
-	var nJournalErrs atomic.Int64
-	out, failures, skipped := parallel.MapRecover(workers, n, e.Stop, !e.KeepGoing, func(i int) T {
+	job := func(i int) T {
 		t0 := time.Now()
-		if payload, ok := e.Resume.Get(label, i, seed); ok {
+		payload, ok := []byte(nil), false
+		if r != nil {
+			payload, ok = e.Resume.Get(label, i, seed)
+		}
+		if ok {
 			res, c, err := decodeCell[T](payload)
 			if err == nil {
 				cells[i] = c
@@ -334,54 +253,62 @@ func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers,
 			}
 			e.logf("sweep: journalled cell %s:%d unusable (%v); re-running", label, i, err)
 		}
-		if e.Chaos.Fires(chaos.CellPanic, int64(i), labelKey(label)) {
+		if e != nil && e.Chaos.Fires(chaos.CellPanic, int64(i), labelKey(label)) {
 			panic(fmt.Sprintf("chaos: injected panic in cell %s:%d", label, i))
 		}
-		var (
-			ctx    context.Context
-			cancel context.CancelFunc
-		)
-		if e.Hard > 0 {
+		var ctx context.Context
+		var cancel context.CancelFunc
+		if wd != nil && e.Hard > 0 {
 			ctx, cancel = context.WithCancel(context.Background())
 			defer cancel()
 		}
-		var end func()
-		if cancel != nil {
-			end = wd.Begin(i, func() { cancel() })
-		} else {
-			end = wd.Begin(i, nil)
-		}
+		end := wd.Begin(i, cancel)
 		cells[i] = s.NewCell()
 		res := run(i, cells[i], ctx)
 		end()
-		if e.Journal != nil {
+		if r != nil && e.Journal != nil {
 			if payload, err := encodeCell(res, cells[i]); err != nil {
-				nJournalErrs.Add(1)
-				recordJournalErr(fmt.Errorf("cell %s:%d not journalled: %w", label, i, err))
+				r.journalErr(fmt.Errorf("cell %s:%d not journalled: %w", label, i, err))
 			} else if err := e.Journal.Append(label, i, seed, payload); err != nil {
 				// The journal's sticky error already names the first lost
 				// cell; count every affected cell here.
-				nJournalErrs.Add(1)
-				recordJournalErr(err)
+				r.journalErr(err)
 			}
 		}
 		d := time.Since(t0)
 		s.Spans.Record("harness.cell", t0, d)
 		s.Progress.CellDone(d)
 		return res
-	})
+	}
+	if only {
+		// Called directly, not recovered: a panic in the cell reaches the
+		// caller with the failing frame on its stack, which is what -cell
+		// exists to show.
+		s.Progress.Begin(1, 1)
+		job(e.Only.Cell)
+		merge(s, cells)
+		panic(&OnlyDone{Ref: CellRef{Label: label, Cell: e.Only.Cell}})
+	}
 
+	s.Progress.Begin(n, parallel.Workers(min(workers, n)))
+	out, failures, skipped := parallel.MapRecover(workers, n, stop, failFast, job)
+	if len(failures) > 0 && r == nil {
+		panic(parallel.CombinedError(failures))
+	}
 	// Failed cells' sinks are partial (the panic unwound mid-recording):
 	// drop them so the merged output holds only completed cells.
 	for _, f := range failures {
 		cells[f.Index] = nil
 	}
 	merge(s, cells)
+	if r == nil {
+		return out
+	}
 
 	// Journal degradation lands on the shared registry only when it
 	// happened, so a healthy run's metrics stay byte-identical. The bump is
 	// on the coordinating goroutine — the registry is single-threaded.
-	if k := nJournalErrs.Load(); k > 0 && s.Metrics != nil {
+	if k := r.journalErrs.Load(); k > 0 && s.Metrics != nil {
 		s.Metrics.Counter("sweep.journal_errors").Add(uint64(k))
 	}
 
@@ -415,6 +342,68 @@ func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers,
 	report := e.report
 	e.mu.Unlock()
 	panic(&RunError{Report: report})
+}
+
+// sweepRun is one journalling sweep's record-loss bookkeeping.
+type sweepRun struct {
+	e           *Engine
+	journalLost sync.Once
+	journalErrs atomic.Int64
+}
+
+// start prepares one sweep. It reports whether Engine.Only names the sweep,
+// and returns the sweepRun and watchdog of a full engine sweep: nil for a
+// nil Engine or Only mode, and the watchdog also when no deadline is set.
+func (e *Engine) start(s obs.Sinks, label string, n int) (*sweepRun, *parallel.Watchdog, bool) {
+	switch {
+	case e == nil:
+		return nil, nil, false
+	case e.Only != nil && e.Only.Label == label:
+		if i := e.Only.Cell; i < 0 || i >= n {
+			panic(fmt.Errorf("sweep: cell %s:%d out of range (sweep %q has %d cells)", label, i, label, n))
+		}
+		return nil, nil, true
+	case e.Soft <= 0 && e.Hard <= 0:
+		return &sweepRun{e: e}, nil, false
+	}
+	s.Spans.TrackActive()
+	return &sweepRun{e: e}, &parallel.Watchdog{
+		Soft: e.Soft,
+		Hard: e.Hard,
+		OnStuck: func(i int, running time.Duration) {
+			e.mu.Lock()
+			e.report.Stuck++
+			e.mu.Unlock()
+			phase := ""
+			if act := s.Spans.Active(); len(act) > 0 {
+				last := act[len(act)-1]
+				phase = fmt.Sprintf(" (in %s for %s)", last.Name,
+					time.Since(last.Start).Round(time.Millisecond))
+			}
+			e.logf("sweep: cell %s:%d running for %s, past the soft deadline%s",
+				label, i, running.Round(time.Millisecond), phase)
+		},
+		OnHard: func(i int, running time.Duration) {
+			e.logf("sweep: cell %s:%d exceeded the hard deadline after %s; canceling",
+				label, i, running.Round(time.Millisecond))
+		},
+	}, false
+}
+
+// journalErr surfaces one lost journal record (encode or append/fsync
+// failure, e.g. ENOSPC): counted for the sweep's metric and in the report
+// (the first error kept), logged once per sweep so a full disk does not spam.
+func (r *sweepRun) journalErr(err error) {
+	r.journalErrs.Add(1)
+	r.e.mu.Lock()
+	r.e.report.JournalErrors++
+	if r.e.report.JournalErr == "" {
+		r.e.report.JournalErr = err.Error()
+	}
+	r.e.mu.Unlock()
+	r.journalLost.Do(func() {
+		r.e.logf("sweep: %v; continuing without crash safety for affected cells", err)
+	})
 }
 
 // merge folds the cells into s; a failure here means a sink is broken

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -269,6 +271,43 @@ func TestStopperInterrupts(t *testing.T) {
 	}
 }
 
+// With a nil Engine a failing sweep aborts fail-fast: the re-panic is
+// CombinedError naming the lowest failing cell and listing every failure,
+// raised before anything merges into the caller's sinks.
+func TestNilEngineFailureRepanics(t *testing.T) {
+	var started sync.WaitGroup
+	started.Add(nCells)
+	run := func(i int, c *obs.Cell, ctx context.Context) cellRes {
+		started.Done()
+		started.Wait() // every cell starts before any fails, so both failures land
+		if i == 2 || i == 5 {
+			panic(fmt.Sprintf("boom %d", i))
+		}
+		return runCell(i, c, ctx)
+	}
+	reg := obs.NewRegistry()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		Cells(nil, obs.Sinks{Metrics: reg}, "lab", 42, nCells, nCells, run)
+	}()
+	err, ok := got.(error)
+	want := parallel.CombinedError([]parallel.Failure{{Index: 2, Value: "boom 2"}, {Index: 5, Value: "boom 5"}})
+	if !ok || err.Error() != want.Error() {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	if !strings.Contains(err.Error(), "job 2 panicked") || !strings.Contains(err.Error(), "all failing jobs: 2, 5") {
+		t.Fatalf("re-panic %q does not name job 2 and list jobs 2, 5", err)
+	}
+	var mb bytes.Buffer
+	if err := reg.WriteText(&mb); err != nil {
+		t.Fatal(err)
+	}
+	if mb.Len() != 0 {
+		t.Fatalf("failed sweep merged into the caller's registry:\n%s", mb.String())
+	}
+}
+
 // Single-cell repro mode: the matching label runs exactly its one cell and
 // panics *OnlyDone; other labels run in full so the figure reaches it.
 func TestOnlyMode(t *testing.T) {
@@ -299,6 +338,36 @@ func TestOnlyMode(t *testing.T) {
 	}
 	if got := reg.Counter("cells.done").Value(); got != 3+1 {
 		t.Fatalf("cells.done = %d, want 4 (full 'other' sweep + one 'lab' cell)", got)
+	}
+}
+
+// panicInOnlyCell is the frame TestOnlyModePanicKeepsStack looks for.
+//
+//go:noinline
+func panicInOnlyCell(i int) { panic(fmt.Sprintf("cell %d broke", i)) }
+
+// -cell repro mode exists to show where one cell fails: a panic in the
+// target cell must reach the caller with its own value, still unwinding
+// from the frame that panicked (not re-raised from Cells).
+func TestOnlyModePanicKeepsStack(t *testing.T) {
+	e := &Engine{Only: &CellRef{Label: "lab", Cell: 4}}
+	var got any
+	var stack []byte
+	func() {
+		defer func() {
+			got = recover()
+			stack = debug.Stack()
+		}()
+		Cells(e, obs.Sinks{}, "lab", 42, 4, nCells, func(i int, c *obs.Cell, ctx context.Context) cellRes {
+			panicInOnlyCell(i)
+			return cellRes{}
+		})
+	}()
+	if got != "cell 4 broke" {
+		t.Fatalf("recovered %v, want the cell's own panic value", got)
+	}
+	if !bytes.Contains(stack, []byte("panicInOnlyCell")) {
+		t.Fatalf("panic stack lost the failing frame:\n%s", stack)
 	}
 }
 
@@ -381,7 +450,7 @@ func TestSweepAllocGuard(t *testing.T) {
 	const n = 64
 	baseline := testing.AllocsPerRun(20, func() {
 		cells := make([]*obs.Cell, n)
-		parallel.Map(1, n, func(i int) int {
+		parallel.MapRecover(1, n, nil, true, func(i int) int {
 			cells[i] = obs.Sinks{}.NewCell()
 			return run(i, cells[i], nil)
 		})
@@ -409,7 +478,7 @@ func BenchmarkSweepOverhead(b *testing.B) {
 		b.ReportAllocs()
 		for k := 0; k < b.N; k++ {
 			cells := make([]*obs.Cell, n)
-			parallel.Map(1, n, func(i int) int {
+			parallel.MapRecover(1, n, nil, true, func(i int) int {
 				cells[i] = obs.Sinks{}.NewCell()
 				return run(i, cells[i], nil)
 			})

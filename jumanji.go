@@ -23,6 +23,7 @@ package jumanji
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -139,7 +140,7 @@ func (o Options) placerFor(d Design) core.Placer {
 	switch d {
 	case Jigsaw, Jumanji, JumanjiInsecure:
 		return core.ShardedPlacer{
-			Inner:   d.placer().(core.ScratchPlacer),
+			Inner:   d.placer(),
 			RegionW: o.ShardRegionW, RegionH: o.ShardRegionH,
 		}
 	}
@@ -194,8 +195,7 @@ type Options struct {
 	// TailVsAllocation's fan-outs (internal/sweep): a fsync'd journal of
 	// completed cells, resume from a prior journal, keep-going failure
 	// isolation, and per-cell watchdog deadlines. A degraded run surfaces
-	// as a *sweep.RunError return. Nil is the historical zero-overhead
-	// path.
+	// as a *sweep.RunError return. Nil turns every layer off.
 	Engine *sweep.Engine
 	// Chaos injects deterministic simulator faults (internal/chaos) into
 	// every run; pair with CheckInvariants to verify they are caught.
@@ -388,6 +388,22 @@ func Scaling(nVMs int, seed int64) func(Options) (Workload, error) {
 	}
 }
 
+// WorkloadFor selects a workload by jumanji-sim's -lc and -vms flags: the
+// Datacenter fleet for lc "datacenter", else the Scaling configuration when
+// vms is not 4, else MixedCaseStudy for lc "mixed", else CaseStudy(lc).
+func WorkloadFor(lc string, vms int, seed int64) func(Options) (Workload, error) {
+	if strings.EqualFold(lc, "datacenter") {
+		return Datacenter(seed)
+	}
+	if vms != 4 {
+		return Scaling(vms, seed)
+	}
+	if strings.EqualFold(lc, "mixed") {
+		return MixedCaseStudy(seed)
+	}
+	return CaseStudy(lc, seed)
+}
+
 // Migrate wraps a workload builder so that application `app` (its index in
 // the built workload) moves its thread to core `toCore` at the start of the
 // given epoch. Like prior D-NUCAs, Jumanji migrates LLC allocations along
@@ -509,6 +525,17 @@ func recoverSweep(err *error) {
 		*err = r
 	default:
 		panic(r)
+	}
+}
+
+// WriteTable writes Compare's results as jumanji-sim's design table: one
+// row per design with its tail/deadline, speedup, vulnerability and energy.
+func WriteTable(w io.Writer, results []*Result) {
+	fmt.Fprintf(w, "%-22s %14s %14s %14s %12s\n",
+		"design", "tail/deadline", "speedup", "vulnerability", "energy (mJ)")
+	for _, r := range results {
+		fmt.Fprintf(w, "%-22s %14.2f %14.3f %14.2f %12.2f\n",
+			r.Design, r.WorstNormTail, r.SpeedupVsStatic, r.Vulnerability, r.Energy.Total()/1e6)
 	}
 }
 

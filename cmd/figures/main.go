@@ -29,7 +29,7 @@ import (
 
 func main() { os.Exit(run()) }
 
-func run() int {
+func run() (rc int) {
 	var (
 		fig      = flag.Int("fig", 0, "figure number to regenerate (4, 5, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19)")
 		table    = flag.Int("table", 0, "table number to regenerate (1, 2, 3)")
@@ -56,6 +56,17 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		return 1
 	}
+	// Every return closes the sinks, so a usage error after Open still
+	// writes what was recorded. The normal path closes them below, before
+	// the run report; this is then a no-op.
+	defer func() {
+		if err := sinks.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			if rc == 0 {
+				rc = 1
+			}
+		}
+	}()
 
 	o := harness.QuickOptions()
 	if *paper {

@@ -32,7 +32,7 @@ import (
 
 func main() { os.Exit(run()) }
 
-func run() int {
+func run() (rc int) {
 	var (
 		designFlag = flag.String("design", "jumanji", "design to run: static, adaptive, vm-part, jigsaw, jumanji, insecure, ideal, or 'all'")
 		lc         = flag.String("lc", "xapian", "latency-critical app (masstree, xapian, img-dnn, silo, moses), 'mixed', or 'datacenter' (mesh-proportional VM fleet)")
@@ -61,6 +61,18 @@ func run() int {
 	if err := sinks.Open(); err != nil {
 		return fatal(err)
 	}
+	// Every return closes the sinks, so a failed, degraded or -cell run
+	// still writes its trace, metrics, tsdb dump and profiles. The success
+	// path closes them earlier, before printing results; this is then a
+	// no-op.
+	defer func() {
+		if err := sinks.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "jumanji-sim:", err)
+			if rc == 0 {
+				rc = 1
+			}
+		}
+	}()
 
 	opts := jumanji.DefaultOptions()
 	opts.Epochs, opts.Warmup, opts.Seed = *epochs, *warmup, *seed

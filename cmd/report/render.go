@@ -36,13 +36,23 @@ func sparkline(vals []float64) string {
 	}
 	var b strings.Builder
 	for _, v := range vals {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(sparkLevels)-1))
-		}
-		b.WriteRune(sparkLevels[idx])
+		b.WriteRune(sparkLevels[int(scale(v, lo, hi)*float64(len(sparkLevels)-1))])
 	}
 	return b.String()
+}
+
+// scale maps finite v in [lo, hi] to [0, 1], and a flat range to 0. When
+// hi-lo overflows to +Inf, it halves every term first: halving is exact,
+// so the result is the same fraction, now finite.
+func scale(v, lo, hi float64) float64 {
+	switch d := hi - lo; {
+	case d <= 0:
+		return 0
+	case math.IsInf(d, 0):
+		return (v/2 - lo/2) / (hi/2 - lo/2)
+	default:
+		return (v - lo) / d
+	}
 }
 
 func causeSummary(byCause map[string]int) string {
@@ -226,16 +236,13 @@ func svgSpark(vals []float64, deadline bool) string {
 	if deadline {
 		lo, hi = math.Min(lo, 1), math.Max(hi, 1)
 	}
-	if hi == lo {
-		hi = lo + 1
-	}
 	x := func(i int) float64 {
 		if len(vals) == 1 {
 			return 0
 		}
 		return float64(i) / float64(len(vals)-1) * W
 	}
-	y := func(v float64) float64 { return H - (v-lo)/(hi-lo)*(H-2) - 1 }
+	y := func(v float64) float64 { return H - scale(v, lo, hi)*(H-2) - 1 }
 	var pts strings.Builder
 	for i, v := range vals {
 		if i > 0 {

@@ -10,6 +10,7 @@ package benchdiff
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -46,9 +47,7 @@ type Baseline struct {
 }
 
 // baselineFile mirrors the committed schema: results keyed by benchmark
-// name, each either a flat Metrics object (BENCH_parallel.json) or a
-// {before, after} pair (BENCH_dense.json), in which case "after" — the
-// state the file's commit established — is the number to defend.
+// name, each a Metrics object.
 type baselineFile struct {
 	Host struct {
 		Cores int    `json:"cores"`
@@ -72,15 +71,12 @@ func LoadBaseline(path string) (*Baseline, error) {
 	}
 	b := &Baseline{Path: path, Results: make(map[string]Metrics, len(f.Results)), HostCores: f.Host.Cores, HostCPU: f.Host.CPU}
 	for name, raw := range f.Results {
-		var pair struct {
-			After *Metrics `json:"after"`
-		}
-		if err := json.Unmarshal(raw, &pair); err == nil && pair.After != nil {
-			b.Results[name] = *pair.After
-			continue
-		}
+		// Strict: an entry in some other shape must fail, not load as a
+		// benchmark with no metrics to compare.
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
 		var m Metrics
-		if err := json.Unmarshal(raw, &m); err != nil {
+		if err := dec.Decode(&m); err != nil {
 			return nil, fmt.Errorf("benchdiff: %s: result %q: %w", path, name, err)
 		}
 		b.Results[name] = m

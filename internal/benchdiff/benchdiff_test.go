@@ -11,14 +11,8 @@ import (
 const denseBaseline = `{
   "recorded": "2026-08-01",
   "results": {
-    "BenchmarkEngineSchedule": {
-      "before": {"ns_per_op": 40000, "bytes_per_op": 100, "allocs_per_op": 3},
-      "after":  {"ns_per_op": 17000, "bytes_per_op": 0,   "allocs_per_op": 0}
-    },
-    "BenchmarkEpochLoop": {
-      "before": {"ns_per_op": 60000000, "bytes_per_op": 9e7,    "allocs_per_op": 40000},
-      "after":  {"ns_per_op": 29000000, "bytes_per_op": 3.4e7,  "allocs_per_op": 12000}
-    }
+    "BenchmarkEngineSchedule": {"ns_per_op": 17000, "bytes_per_op": 0, "allocs_per_op": 0},
+    "BenchmarkEpochLoop": {"ns_per_op": 29000000, "bytes_per_op": 3.4e7, "allocs_per_op": 12000}
   }
 }`
 
@@ -42,17 +36,19 @@ func writeBaseline(t *testing.T, body string) *Baseline {
 	return b
 }
 
+// TestLoadBaselineBeforeAfterSchema: the retired {before, after} pair form
+// must fail to load rather than load as a benchmark with no metrics, which
+// would silently gate nothing.
 func TestLoadBaselineBeforeAfterSchema(t *testing.T) {
-	b := writeBaseline(t, denseBaseline)
-	m, ok := b.Results["BenchmarkEngineSchedule"]
-	if !ok {
-		t.Fatal("BenchmarkEngineSchedule missing")
+	path := filepath.Join(t.TempDir(), "pair.json")
+	body := `{"results": {"BenchmarkEngineSchedule": {
+	  "before": {"ns_per_op": 40000, "bytes_per_op": 100, "allocs_per_op": 3},
+	  "after":  {"ns_per_op": 17000, "bytes_per_op": 0,   "allocs_per_op": 0}}}}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if m.NsPerOp == nil || *m.NsPerOp != 17000 {
-		t.Errorf("ns_per_op = %v, want the 'after' value 17000", m.NsPerOp)
-	}
-	if m.AllocsPerOp == nil || *m.AllocsPerOp != 0 {
-		t.Errorf("allocs_per_op = %v, want 0", m.AllocsPerOp)
+	if _, err := LoadBaseline(path); err == nil {
+		t.Error("a {before, after} pair entry loaded")
 	}
 }
 

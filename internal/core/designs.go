@@ -11,21 +11,18 @@ import (
 // (Sec. VII): each latency-critical application is allocated four ways of
 // the LLC via way-partitioning, and all batch applications share the
 // remaining ways unpartitioned. S-NUCA: everything striped over all banks.
-type StaticPlacer struct {
-	// LatCritWays is the fixed per-LC-app way allocation (default 4).
-	LatCritWays int
-}
+type StaticPlacer struct{}
+
+// staticLatCritWays is Static's fixed per-LC-app way allocation.
+const staticLatCritWays = 4
 
 // Name implements Placer.
 func (StaticPlacer) Name() string { return "Static" }
 
 // PlaceInto implements Placer.
-func (s StaticPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
+func (StaticPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
-	ways := s.LatCritWays
-	if ways == 0 {
-		ways = 4
-	}
+	const ways = staticLatCritWays
 	pl.Reset(in.Machine)
 	lat := in.LatCritApps()
 	// Fleet-scale fallback: with enough latency-critical apps (datacenter

@@ -96,9 +96,9 @@ func attachRegionProv(in *Input, regs *topo.Regions, r topo.RegionID, rs *region
 }
 
 // adoptRegionProv folds a region sub-recorder back into the parent and
-// detaches it from the pooled sub-input. Callers adopt regions in
-// ascending order (the merge order), keeping the flushed stream identical
-// between serial and parallel region placement.
+// detaches it from the pooled sub-input. Regions are adopted in ascending
+// order (the merge order). The sub-recorder exists so the inner placer's
+// shrink-retry Attempt reset clears only this region's decisions.
 func adoptRegionProv(in *Input, rs *regionScratch) {
 	if rs.in.Prov == nil {
 		return

@@ -32,9 +32,6 @@ import (
 //
 // The flat algorithms are superlinear in banks×apps, so sharding turns one
 // O((R·b)^k) placement into R placements of O(b^k): near-linear in regions.
-// Region placements share no state and can run in parallel (Parallel), but
-// the merge is always serial in ascending region order so results are
-// byte-identical either way.
 //
 // With a single region the pipeline reduces to the identity mapping — the
 // sub-input equals the input — so the result is bitwise-identical to running
@@ -47,9 +44,6 @@ type ShardedPlacer struct {
 	// default to DefaultRegionDim. Values larger than the mesh clamp to it
 	// (one region = flat placement).
 	RegionW, RegionH int
-	// Parallel runs region placements on separate goroutines. Output is
-	// identical; only wall-clock changes.
-	Parallel bool
 }
 
 // DefaultRegionDim is the default region edge. 4×4 regions hold a handful of
@@ -100,66 +94,19 @@ func (p ShardedPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	assignVMsToRegions(in, regs, s)
 
 	pl.Reset(in.Machine)
-	if p.Parallel && regs.NumRegions() > 1 {
-		p.placeRegionsParallel(in, regs, s, pl)
-	} else {
-		rs := getRegionScratch()
-		for r := topo.RegionID(0); int(r) < regs.NumRegions(); r++ {
-			if s.regVMs[r] == 0 {
-				continue
-			}
-			buildRegionInput(in, regs, r, s, rs)
-			attachRegionProv(in, regs, r, rs)
-			p.inner().PlaceInto(&rs.in, rs.pl)
-			adoptRegionProv(in, rs)
-			mergeRegion(pl, regs, r, rs)
-		}
-		putRegionScratch(rs)
-	}
-	return pl
-}
-
-// placeRegionsParallel runs each non-empty region's placement on its own
-// goroutine, then merges serially in ascending region order — the merge
-// order, not the completion order, determines the output, so the result is
-// identical to the serial path.
-func (p ShardedPlacer) placeRegionsParallel(in *Input, regs *topo.Regions, s *shardScratch, pl *Placement) {
-	n := regs.NumRegions()
-	rss := s.regScratch[:0]
-	for len(rss) < n {
-		rss = append(rss, nil)
-	}
-	s.regScratch = rss
-	var wg sync.WaitGroup
-	for r := topo.RegionID(0); int(r) < n; r++ {
-		rss[r] = nil
+	rs := getRegionScratch()
+	for r := topo.RegionID(0); int(r) < regs.NumRegions(); r++ {
 		if s.regVMs[r] == 0 {
 			continue
 		}
-		rs := getRegionScratch()
-		rss[r] = rs
-		wg.Add(1)
-		go func(r topo.RegionID, rs *regionScratch) {
-			defer wg.Done()
-			buildRegionInput(in, regs, r, s, rs)
-			// The sub-recorder is private to this goroutine until the serial
-			// adopt below; deriving it only reads the shared parent.
-			attachRegionProv(in, regs, r, rs)
-			p.inner().PlaceInto(&rs.in, rs.pl)
-		}(r, rs)
+		buildRegionInput(in, regs, r, s, rs)
+		attachRegionProv(in, regs, r, rs)
+		p.inner().PlaceInto(&rs.in, rs.pl)
+		adoptRegionProv(in, rs)
+		mergeRegion(pl, regs, r, rs)
 	}
-	wg.Wait()
-	for r := topo.RegionID(0); int(r) < n; r++ {
-		if rss[r] == nil {
-			continue
-		}
-		// Ascending region order keeps the provenance stream byte-identical
-		// to the serial path.
-		adoptRegionProv(in, rss[r])
-		mergeRegion(pl, regs, r, rss[r])
-		putRegionScratch(rss[r])
-		rss[r] = nil
-	}
+	putRegionScratch(rs)
+	return pl
 }
 
 // shardScratch pools the temporaries of the VM→region assignment stage.
@@ -178,8 +125,6 @@ type shardScratch struct {
 
 	regVMs  []int // per region: VMs assigned
 	regFree []int // per region: banks not yet spoken for
-
-	regScratch []*regionScratch // parallel-mode per-region borrows
 }
 
 var shardScratchPool = sync.Pool{New: func() any { return &shardScratch{} }}

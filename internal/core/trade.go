@@ -22,11 +22,6 @@ import (
 // result (see BenchmarkAblationTrading); TradesAttempted/TradesAccepted
 // expose how rarely the strict constraint admits a trade.
 type TradePlacer struct {
-	// MemLatency and HopCycles parameterize the CPI-delta model used to
-	// evaluate trades (defaults: the Table II machine's 120-cycle memory
-	// and 3-cycle hops).
-	MemLatency, HopCycles float64
-
 	// TradesAttempted and TradesAccepted count candidate evaluations and
 	// applied trades over this placer's lifetime.
 	TradesAttempted, TradesAccepted int
@@ -39,6 +34,13 @@ type TradePlacer struct {
 	lat, batch []AppID
 	hulls      map[AppID]*mrc.HullUpdater
 }
+
+// The CPI-delta model that evaluates trades uses the Table II machine's
+// 120-cycle memory latency and 3-cycle hops.
+const (
+	tradeMemLatency = 120
+	tradeHopCycles  = 3
+)
 
 // hullOf returns the convex hull of app's miss-ratio curve via the placer's
 // per-app incremental updater. The returned curve aliases updater-owned
@@ -61,15 +63,6 @@ func (p *TradePlacer) Name() string { return "Jumanji: Trading" }
 // PlaceInto implements Placer.
 func (p *TradePlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	JumanjiPlacer{}.PlaceInto(in, pl)
-	memLat := p.MemLatency
-	if memLat == 0 {
-		memLat = 120
-	}
-	hopCycles := p.HopCycles
-	if hopCycles == 0 {
-		hopCycles = 3
-	}
-
 	wayBytes := in.Machine.WayBytes()
 	p.vms = in.AppendVMs(p.vms[:0])
 	for _, vm := range p.vms {
@@ -78,7 +71,7 @@ func (p *TradePlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 			continue
 		}
 		for _, lat := range p.lat {
-			p.tradeForVM(in, pl, lat, p.batch, wayBytes, memLat, hopCycles)
+			p.tradeForVM(in, pl, lat, p.batch, wayBytes)
 		}
 	}
 	return pl
@@ -87,7 +80,7 @@ func (p *TradePlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 // tradeForVM evaluates moving one way of lat's data from its nearest bank
 // to the farthest bank the VM owns, compensating lat with extra capacity
 // carved from batch space in the far bank.
-func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps []AppID, wayBytes, memLat, hopCycles float64) {
+func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps []AppID, wayBytes float64) {
 	spec := in.Apps[lat]
 	banks, bytes := pl.BanksOf(lat)
 	if len(banks) == 0 {
@@ -140,7 +133,7 @@ func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps 
 	dNear := float64(mesh.Hops(spec.Core, nearBank))
 	dFar := float64(mesh.Hops(spec.Core, farBank))
 	newHops := oldHops + (dFar-dNear)*wayBytes/total
-	dHitLat := 2 * (newHops - oldHops) * hopCycles
+	dHitLat := 2 * (newHops - oldHops) * tradeHopCycles
 
 	// Required capacity compensation: missRatio(total+c) must improve
 	// enough that Δmiss × memLat ≥ ΔhitLat. Search in way steps.
@@ -148,7 +141,7 @@ func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps 
 	missNow := curve.Eval(total)
 	comp := math.Inf(1)
 	for c := wayBytes; c <= 8*wayBytes; c += wayBytes {
-		if (missNow-curve.Eval(total+c))*memLat >= dHitLat {
+		if (missNow-curve.Eval(total+c))*tradeMemLatency >= dHitLat {
 			comp = c
 			break
 		}
@@ -166,10 +159,10 @@ func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps 
 	donorSpec := in.Apps[donor]
 	donorCurve := p.hullOf(in, donor)
 	donorTotal := pl.TotalOf(donor)
-	missCost := (donorCurve.Eval(donorTotal-comp) - donorCurve.Eval(donorTotal)) * memLat
+	missCost := (donorCurve.Eval(donorTotal-comp) - donorCurve.Eval(donorTotal)) * tradeMemLatency
 	dDonorNear := float64(mesh.Hops(donorSpec.Core, nearBank))
 	dDonorFar := float64(mesh.Hops(donorSpec.Core, farBank))
-	hopGain := 2 * (dDonorFar - dDonorNear) * hopCycles * wayBytes / donorTotal
+	hopGain := 2 * (dDonorFar - dDonorNear) * tradeHopCycles * wayBytes / donorTotal
 	if hopGain <= missCost {
 		if on {
 			in.Prov.Eliminated(obs.StageTrade, int(spec.VM), int(lat),

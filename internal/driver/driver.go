@@ -54,19 +54,9 @@ type Config struct {
 	// (≈1% in the paper). Smaller is more accurate and slower.
 	UMONSamplePeriod uint64
 
-	// Metrics, Events, and Trace are optional observability sinks
-	// (internal/obs), all nil by default and nil-safe. Metrics
-	// instruments the hierarchy (per-level and per-bank counters) and
-	// the UMONs; Events receives driver_epoch JSONL records with the
-	// installed placements, way masks, UMON curve snapshots, and
-	// measured per-app stats; Trace gets one lane of per-epoch spans.
+	// Metrics, when set, instruments the hierarchy (per-level and per-bank
+	// counters) and the UMONs; CheckCounters cross-checks it.
 	Metrics *obs.Registry
-	Events  *obs.EventLog
-	Trace   *obs.Trace
-	// Spans, when set, times each epoch's phases (UMON curve work,
-	// placement, VTB install, trace replay) on the wall clock; it is
-	// concurrency-safe and may be shared across drivers.
-	Spans *obs.Spans
 }
 
 // AppStats is one app's measured behaviour for an epoch.
@@ -96,13 +86,7 @@ type Driver struct {
 	umons  []*umon.Monitor
 	epoch  int
 	placed *core.Placement
-	lane   int // trace lane (0 when tracing is off)
 }
-
-// driverEpochUs is the nominal trace duration of one driver epoch in
-// microseconds. The driver replays a fixed access budget per epoch rather
-// than counting cycles, so trace timestamps use this nominal scale.
-const driverEpochUs = 1000
 
 // New validates the configuration and builds the hierarchy.
 func New(cfg Config) (*Driver, error) {
@@ -154,8 +138,6 @@ func New(cfg Config) (*Driver, error) {
 			d.umons[i].Instrument(cfg.Metrics, fmt.Sprintf("umon.app%d.%s", i, a.Name))
 		}
 	}
-	d.lane = cfg.Trace.Lane("driver: " + cfg.Placer.Name())
-	cfg.Trace.ThreadName(d.lane, 0, "epochs")
 	return d, nil
 }
 
@@ -218,18 +200,11 @@ func (d *Driver) install(pl *core.Placement) int {
 // UMON counters are halved each epoch (hardware aging), so the curves track
 // phase changes instead of averaging over the whole run.
 func (d *Driver) RunEpoch() EpochStats {
-	sp := d.cfg.Spans.Start("driver.umon")
 	for _, u := range d.umons {
 		u.Age()
 	}
-	in := d.buildInput()
-	sp.Stop()
-	sp = d.cfg.Spans.Start("driver.place")
-	pl := core.PlaceWith(d.cfg.Placer, in, nil)
-	sp.Stop()
-	sp = d.cfg.Spans.Start("driver.install")
+	pl := core.PlaceWith(d.cfg.Placer, d.buildInput(), nil)
 	invalidated := d.install(pl)
-	sp.Stop()
 
 	n := len(d.cfg.Apps)
 	before := make([]cache.Stats, n)
@@ -243,7 +218,6 @@ func (d *Driver) RunEpoch() EpochStats {
 
 	// Interleave apps round-robin, proportionally to their access budgets,
 	// so bank and replacement interference between co-runners is realistic.
-	sp = d.cfg.Spans.Start("driver.replay")
 	remaining := make([]int, n)
 	total := 0
 	for i, a := range d.cfg.Apps {
@@ -267,7 +241,6 @@ func (d *Driver) RunEpoch() EpochStats {
 			total--
 		}
 	}
-	sp.Stop()
 
 	out := EpochStats{Epoch: d.epoch, Invalidated: invalidated, PerApp: make([]AppStats, n)}
 	for i, a := range d.cfg.Apps {
@@ -285,57 +258,9 @@ func (d *Driver) RunEpoch() EpochStats {
 		s.AllocBytes = pl.TotalOf(core.AppID(i))
 		banks, _ := pl.BanksOf(core.AppID(i))
 		s.BanksOccupied = len(banks)
-		_ = a
 	}
-	d.observeEpoch(out, pl)
 	d.epoch++
 	return out
-}
-
-// observeEpoch emits the epoch's driver_epoch record and trace span.
-func (d *Driver) observeEpoch(out EpochStats, pl *core.Placement) {
-	if d.cfg.Events.Enabled() {
-		ev := obs.DriverEpoch{
-			Epoch: out.Epoch, TimeUs: float64(out.Epoch) * driverEpochUs,
-			InvalidatedLines: out.Invalidated,
-		}
-		for i, a := range d.cfg.Apps {
-			id := core.AppID(i)
-			banks, _ := pl.BanksOf(id)
-			masked := 0
-			for _, b := range banks {
-				if pl.WayMasks(b)[id] != 0 {
-					masked++
-				}
-			}
-			ev.Installs = append(ev.Installs, obs.VTBInstall{
-				App: i, Name: a.Name, Banks: len(banks),
-				TotalBytes: pl.TotalOf(id), MaskedBanks: masked,
-			})
-			curve := d.umons[i].MissRatioCurve()
-			ev.UMON = append(ev.UMON, obs.UMONSnapshot{
-				App: i, Name: a.Name, UnitBytes: curve.Unit, MissRatio: curve.M,
-			})
-			s := out.PerApp[i]
-			ev.Apps = append(ev.Apps, obs.DriverAppStats{
-				App: i, Name: a.Name,
-				Accesses: s.Accesses, LLCHits: s.LLCHits, MemLoads: s.MemLoads,
-				LLCMissRatio: s.LLCMissRatio, AvgHops: s.AvgHops,
-			})
-		}
-		d.cfg.Events.EmitDriverEpoch(ev)
-	}
-	if tr := d.cfg.Trace; tr.Enabled() {
-		ts := float64(out.Epoch) * driverEpochUs
-		tr.Span(d.lane, 0, "epoch", "epoch", ts, driverEpochUs, map[string]any{
-			"epoch": out.Epoch, "invalidated_lines": out.Invalidated,
-		})
-		miss := make(map[string]float64, len(out.PerApp))
-		for i, a := range d.cfg.Apps {
-			miss[fmt.Sprintf("%d:%s", i, a.Name)] = out.PerApp[i].LLCMissRatio
-		}
-		tr.Counter(d.lane, "llc miss ratio", ts, miss)
-	}
 }
 
 // CheckCounters cross-checks the instrumented hierarchy against itself: the

@@ -1,22 +1,18 @@
 package driver
 
 import (
-	"bytes"
 	"testing"
 
 	"jumanji/internal/core"
 	"jumanji/internal/obs"
 )
 
-// TestDriverObservability runs an instrumented driver with all three sinks
-// attached and checks (a) every emitted JSONL record validates against the
-// documented schema, (b) the trace file parses as Chrome trace events, and
-// (c) the registry's per-bank miss counters reconcile with the hierarchy's
-// own totals (the cmd/validate invariant).
+// TestDriverObservability runs a driver instrumented with a metrics
+// registry and checks that the registry's per-bank miss counters reconcile
+// with the hierarchy's own totals (the cmd/validate invariant).
 func TestDriverObservability(t *testing.T) {
-	var events, traceBuf bytes.Buffer
 	reg := obs.NewRegistry()
-	cfg := Config{
+	d, err := New(Config{
 		Machine: smallMachine(),
 		Placer:  core.JigsawPlacer{},
 		Apps: []App{
@@ -24,45 +20,16 @@ func TestDriverObservability(t *testing.T) {
 			wsApp("b", 1, 1, 4096, 2),
 		},
 		Metrics: reg,
-		Events:  obs.NewEventLog(&events),
-		Trace:   obs.NewTrace(&traceBuf),
-	}
-	d, err := New(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const epochs = 3
-	for e := 0; e < epochs; e++ {
+	for e := 0; e < 3; e++ {
 		st := d.RunEpoch()
 		if len(st.PerApp) != 2 {
 			t.Fatalf("epoch %d: %d app stats", e, len(st.PerApp))
 		}
 	}
-	if err := cfg.Events.Err(); err != nil {
-		t.Fatalf("event log error: %v", err)
-	}
-
-	counts, err := obs.ValidateEventLog(events.Bytes())
-	if err != nil {
-		t.Fatalf("event log fails schema validation: %v", err)
-	}
-	if counts[obs.TypeDriverEpoch] != epochs {
-		t.Fatalf("got %d driver_epoch records, want %d (counts %v)", counts[obs.TypeDriverEpoch], epochs, counts)
-	}
-
-	if err := cfg.Trace.Close(); err != nil {
-		t.Fatalf("trace close: %v", err)
-	}
-	n, err := obs.ValidateTraceJSON(traceBuf.Bytes())
-	if err != nil {
-		t.Fatalf("trace fails validation: %v", err)
-	}
-	// 1 lane metadata + 1 thread metadata + per epoch one span and one
-	// counter event.
-	if want := 2 + 2*epochs; n != want {
-		t.Fatalf("trace has %d events, want %d", n, want)
-	}
-
 	if err := d.CheckCounters(); err != nil {
 		t.Fatalf("counter cross-check: %v", err)
 	}

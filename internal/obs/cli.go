@@ -33,9 +33,10 @@ type CLI struct {
 	MemProfile  string
 	SpansOn     bool
 
-	sinks Sinks // the recording sinks and Spans; Progress and Publish stay nil
-	files []*os.File
-	cpuOn bool
+	sinks  Sinks // the recording sinks and Spans; Progress and Publish stay nil
+	files  []*os.File
+	cpuOn  bool
+	closed bool
 }
 
 // RegisterFlags declares the observability flags on fs.
@@ -134,8 +135,14 @@ func (c *CLI) Prov() *EventLog { return c.sinks.Prov }
 
 // Close finishes every sink: stops the CPU profile, writes the heap
 // profile, flushes the trace, dumps the metrics, and closes the files. It
-// returns the first error but always attempts every step.
+// returns the first error but always attempts every step. Calls after the
+// first do nothing, so a command can defer Close for its early returns and
+// still close explicitly on its success path.
 func (c *CLI) Close() error {
+	if c.closed {
+		return nil
+	}
+	c.closed = true
 	var first error
 	keep := func(err error) {
 		if err != nil && first == nil {

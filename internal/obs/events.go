@@ -12,9 +12,9 @@ import (
 // whenever a payload struct changes incompatibly; ValidateEvent rejects
 // records from other versions.
 //
-// v2: epoch and driver_epoch records gained a monotonic simulated
-// timestamp (time_us), epoch records gained worst_lat_norm, and the
-// slo_violation and reconfig_churn attribution records were added.
+// v2: epoch records gained a monotonic simulated timestamp (time_us) and
+// worst_lat_norm, and the slo_violation and reconfig_churn attribution
+// records were added.
 //
 // v3: the placement provenance records were added (placement_decision and
 // placement_valve, see provenance.go) — the per-VM/app "why did this land
@@ -32,7 +32,6 @@ const (
 	TypeEpoch             = "epoch"
 	TypeSLOViolation      = "slo_violation"
 	TypeReconfigChurn     = "reconfig_churn"
-	TypeDriverEpoch       = "driver_epoch"
 	TypeRunEnd            = "run_end"
 	TypePlacementDecision = "placement_decision"
 	TypePlacementValve    = "placement_valve"
@@ -148,51 +147,6 @@ type ReconfigChurn struct {
 	AppsMoved        int     `json:"apps_moved"`
 }
 
-// VTBInstall records one virtual cache's descriptor install in the
-// detailed driver: banks spanned, bytes granted, and how many banks got a
-// way mask for the app (the Intel CAT configuration).
-type VTBInstall struct {
-	App         int     `json:"app"`
-	Name        string  `json:"name"`
-	Banks       int     `json:"banks"`
-	TotalBytes  float64 `json:"total_bytes"`
-	MaskedBanks int     `json:"masked_banks"`
-}
-
-// UMONSnapshot is one application's profiled miss-ratio curve: MissRatio[i]
-// is the miss ratio at a capacity of i × UnitBytes.
-type UMONSnapshot struct {
-	App       int       `json:"app"`
-	Name      string    `json:"name"`
-	UnitBytes float64   `json:"unit_bytes"`
-	MissRatio []float64 `json:"miss_ratio"`
-}
-
-// DriverAppStats is one application's measured behaviour in a driver epoch.
-type DriverAppStats struct {
-	App          int     `json:"app"`
-	Name         string  `json:"name"`
-	Accesses     uint64  `json:"accesses"`
-	LLCHits      uint64  `json:"llc_hits"`
-	MemLoads     uint64  `json:"mem_loads"`
-	LLCMissRatio float64 `json:"llc_miss_ratio"`
-	AvgHops      float64 `json:"avg_hops"`
-}
-
-// DriverEpoch is one detailed (trace-driven) epoch: the placement installed
-// into the VTB and way masks, the coherence walk's cost, the UMON-measured
-// curves the placement was computed from, and the measured outcome. TimeUs
-// is the epoch's start on the driver's simulated clock in microseconds,
-// with the same monotonicity contract as Epoch.TimeUs.
-type DriverEpoch struct {
-	Epoch            int              `json:"epoch"`
-	TimeUs           float64          `json:"time_us"`
-	InvalidatedLines int              `json:"invalidated_lines"`
-	Installs         []VTBInstall     `json:"installs"`
-	UMON             []UMONSnapshot   `json:"umon,omitempty"`
-	Apps             []DriverAppStats `json:"apps"`
-}
-
 // RunEnd closes a run's records with its headline summary.
 type RunEnd struct {
 	Design               string  `json:"design"`
@@ -297,9 +251,6 @@ func (l *EventLog) EmitSLOViolation(v SLOViolation) { l.emit(TypeSLOViolation, v
 // EmitReconfigChurn writes a reconfig_churn record.
 func (l *EventLog) EmitReconfigChurn(c ReconfigChurn) { l.emit(TypeReconfigChurn, c) }
 
-// EmitDriverEpoch writes a driver_epoch record.
-func (l *EventLog) EmitDriverEpoch(e DriverEpoch) { l.emit(TypeDriverEpoch, e) }
-
 // EmitRunEnd writes a run_end record.
 func (l *EventLog) EmitRunEnd(r RunEnd) { l.emit(TypeRunEnd, r) }
 
@@ -386,19 +337,6 @@ func ValidateEvent(line []byte) (string, error) {
 		case "initial", "periodic", "delayed":
 		default:
 			return env.Type, fmt.Errorf("obs: reconfig_churn epoch %d has unknown cause %q", c.Epoch, c.Cause)
-		}
-	case TypeDriverEpoch:
-		var e DriverEpoch
-		if err := strict(&e); err != nil {
-			return env.Type, fmt.Errorf("obs: bad driver_epoch: %w", err)
-		}
-		if e.Epoch < 0 || e.TimeUs < 0 || e.InvalidatedLines < 0 || len(e.Apps) == 0 {
-			return env.Type, fmt.Errorf("obs: driver_epoch %d malformed", e.Epoch)
-		}
-		for _, u := range e.UMON {
-			if u.UnitBytes <= 0 || len(u.MissRatio) == 0 {
-				return env.Type, fmt.Errorf("obs: driver_epoch %d app %d has empty UMON snapshot", e.Epoch, u.App)
-			}
 		}
 	case TypeRunEnd:
 		var r RunEnd

@@ -20,7 +20,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -37,33 +36,28 @@ func Write(w io.Writer, snaps []obs.MetricSnapshot) error {
 	bw := bufio.NewWriter(w)
 	for _, s := range snaps {
 		name := Name(s.Name)
-		labels := labelPairs(s.Labels)
-		plain := braced(labels) // label set for non-bucket samples
 		switch s.Kind {
 		case obs.KindCounter:
 			if !strings.HasSuffix(name, "_total") {
 				name += "_total"
 			}
-			help(bw, name, s.Help)
 			fmt.Fprintf(bw, "# TYPE %s counter\n", name)
-			fmt.Fprintf(bw, "%s%s %s\n", name, plain, num(s.Value))
+			fmt.Fprintf(bw, "%s %s\n", name, num(s.Value))
 		case obs.KindGauge:
-			help(bw, name, s.Help)
 			fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
-			fmt.Fprintf(bw, "%s%s %s\n", name, plain, num(s.Value))
+			fmt.Fprintf(bw, "%s %s\n", name, num(s.Value))
 		case obs.KindHistogram:
-			help(bw, name, s.Help)
 			fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
 			width := (s.Hi - s.Lo) / float64(len(s.Bins))
 			var cum uint64
 			for i, b := range s.Bins {
 				cum += b
 				le := s.Lo + width*float64(i+1)
-				fmt.Fprintf(bw, "%s_bucket%s %d\n", name, braced(append(labels, fmt.Sprintf("le=%q", num(le)))), cum)
+				fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", name, num(le), cum)
 			}
-			fmt.Fprintf(bw, "%s_bucket%s %d\n", name, braced(append(labels, `le="+Inf"`)), s.Count)
-			fmt.Fprintf(bw, "%s_sum%s %s\n", name, plain, num(s.Sum))
-			fmt.Fprintf(bw, "%s_count%s %d\n", name, plain, s.Count)
+			fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
+			fmt.Fprintf(bw, "%s_sum %s\n", name, num(s.Sum))
+			fmt.Fprintf(bw, "%s_count %d\n", name, s.Count)
 		default:
 			return fmt.Errorf("prom: metric %q has unknown kind %v", s.Name, s.Kind)
 		}
@@ -93,55 +87,6 @@ func Name(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// help writes the HELP line when the snapshot carries help text.
-func help(w io.Writer, name, text string) {
-	if text != "" {
-		fmt.Fprintf(w, "# HELP %s %s\n", name, EscapeHelp(text))
-	}
-}
-
-// labelPairs renders a label map as sorted, escaped k="v" pairs. Label
-// names pass through Name sanitization (same alphabet, minus ':').
-func labelPairs(labels map[string]string) []string {
-	if len(labels) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	pairs := make([]string, len(keys))
-	for i, k := range keys {
-		pairs[i] = fmt.Sprintf(`%s="%s"`, strings.ReplaceAll(Name(k), ":", "_"), EscapeLabel(labels[k]))
-	}
-	return pairs
-}
-
-// braced joins label pairs into a {..} label set; empty input renders as
-// no label set at all, keeping unlabeled output byte-identical to before.
-func braced(pairs []string) string {
-	if len(pairs) == 0 {
-		return ""
-	}
-	return "{" + strings.Join(pairs, ",") + "}"
-}
-
-// EscapeLabel escapes a label value per the 0.0.4 exposition rules:
-// backslash, double-quote, and line feed become \\, \", and \n.
-func EscapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// EscapeHelp escapes HELP text per the 0.0.4 exposition rules: backslash
-// and line feed become \\ and \n (quotes are legal in HELP text).
-func EscapeHelp(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
 // num formats a sample value the way Prometheus clients do: shortest

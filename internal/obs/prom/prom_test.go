@@ -132,39 +132,3 @@ func TestWriteCounterAlreadyTotal(t *testing.T) {
 		t.Errorf("doubled _total suffix:\n%s", buf.String())
 	}
 }
-
-func TestWriteHostileLabelsGolden(t *testing.T) {
-	// Label values and HELP text exercise every 0.0.4 escape: backslash,
-	// double-quote, and embedded newline.
-	snaps := []obs.MetricSnapshot{
-		{
-			Name: "run.cells_done", Kind: obs.KindCounter, Value: 3,
-			Help:   "cells completed so far\nsecond line with a \\ backslash",
-			Labels: map[string]string{"sweep": `compare/"Static"+Jumanji`, "path": `C:\runs\last`},
-		},
-		{
-			Name: "run.worker_utilization", Kind: obs.KindGauge, Value: 0.75,
-			Help:   "busy seconds / elapsed",
-			Labels: map[string]string{"host": "node\n1", "bad key!": "kept"},
-		},
-		{
-			Name: "span.place.seconds", Kind: obs.KindHistogram,
-			Value: 0.5, Count: 2, Sum: 1, Lo: 0, Hi: 1, Bins: []uint64{1, 1},
-			Labels: map[string]string{"design": `Jumanji "secure"`},
-		},
-	}
-	var buf bytes.Buffer
-	if err := prom.Write(&buf, snaps); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "labels.prom", buf.Bytes())
-}
-
-func TestEscapes(t *testing.T) {
-	if got, want := prom.EscapeLabel("a\\b\"c\nd"), `a\\b\"c\nd`; got != want {
-		t.Errorf("EscapeLabel = %q; want %q", got, want)
-	}
-	if got, want := prom.EscapeHelp("a\\b\"c\nd"), `a\\b"c\nd`; got != want {
-		t.Errorf("EscapeHelp = %q; want %q", got, want)
-	}
-}

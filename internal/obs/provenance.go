@@ -233,10 +233,11 @@ type provKey struct {
 // hot loops should hoist `on := in.Prov.Enabled()` and skip argument
 // computation (hop distances etc.) when off.
 //
-// ProvRecorder is not safe for concurrent use. The sharded wrapper's
-// parallel region placement gives each region goroutine a private
-// sub-recorder (Region) and adopts them serially in ascending region order
-// (Adopt), which keeps the flushed stream byte-identical to a serial run.
+// ProvRecorder is not safe for concurrent use. The sharded wrapper gives
+// each region's inner placement a private sub-recorder (Region) and folds
+// it back with Adopt, so an inner shrink-retry's Attempt reset discards only
+// that region's own decisions, not those of the stage-1 region assignment
+// or of earlier regions.
 type ProvRecorder struct {
 	log    *EventLog
 	design string
@@ -444,9 +445,9 @@ func (r *ProvRecorder) Region(region int, mapApp, mapBank func(int) int) *ProvRe
 	}
 }
 
-// Adopt appends a region sub-recorder's decisions and valves. Callers must
-// adopt regions in ascending region order so parallel placement flushes a
-// byte-identical stream to serial placement. Nil-safe on both sides.
+// Adopt appends a region sub-recorder's decisions and valves. Callers
+// adopt regions in ascending region order, which fixes the flushed order.
+// Nil-safe on both sides.
 func (r *ProvRecorder) Adopt(sub *ProvRecorder) {
 	if r == nil || sub == nil {
 		return

@@ -313,11 +313,6 @@ type MetricSnapshot struct {
 	Lo    float64  // histogram lower bound
 	Hi    float64  // histogram upper bound
 	Bins  []uint64 // histogram bin counts
-	// Help and Labels are optional exposition metadata consumed by the
-	// prom writer (HELP line; {k="v"} label pairs on every sample). The
-	// Registry leaves them empty; synthetic snapshot producers set them.
-	Help   string
-	Labels map[string]string
 }
 
 // Snapshot returns every metric's current state, sorted by name.

@@ -107,21 +107,6 @@ func BenchmarkAblationShrinkPatience(b *testing.B) {
 	b.ReportMetric(eagerTail, "tail-patience1")
 }
 
-// BenchmarkAblationHull runs Jigsaw's capacity division on raw (cliffed)
-// miss curves instead of convex hulls. The hull matches DRRIP's actual
-// behaviour (Sec. IV-A) and smooths lookahead's search; raw curves change
-// allocations and usually cost batch performance.
-func BenchmarkAblationHull(b *testing.B) {
-	var delta float64
-	for i := 0; i < b.N; i++ {
-		cfg, wl := ablationWorkload(b, 79)
-		hulled := system.Run(cfg, wl, core.JigsawPlacer{}, 40, 15)
-		raw := system.Run(cfg, wl, core.RawCurveJigsawPlacer{}, 40, 15)
-		delta = raw.BatchWeightedSpeedup/hulled.BatchWeightedSpeedup - 1
-	}
-	b.ReportMetric(delta*100, "raw-vs-hull-%")
-}
-
 // BenchmarkAblationQueueControl compares the paper's tail-latency feedback
 // (Listing 1) against the queue-depth alternative it sketches (Sec. V-C).
 // Both should meet deadlines; the comparison shows what the extra

@@ -254,17 +254,18 @@ func BenchmarkPlacementAlgorithmOverhead(b *testing.B) {
 func benchInput(cfg system.Config, wl system.Workload) *core.Input {
 	r := system.Run(cfg, wl, core.JumanjiPlacer{}, 3, 1)
 	_ = r
-	// Reconstruct an input directly from the workload profiles.
+	// Reconstruct an input directly from the workload profiles, hulled as
+	// placer inputs must be.
 	in := &core.Input{Machine: cfg.Machine, LatSizes: map[core.AppID]float64{}}
 	unit := cfg.Machine.WayBytes()
 	points := cfg.CurvePoints()
 	for i, a := range wl.Apps {
 		spec := core.AppSpec{VM: a.VM, Core: a.Core, Name: a.Name()}
 		if a.Batch != nil {
-			spec.MissRatio = a.Batch.MissRatio(unit, points)
+			spec.MissRatio = a.Batch.MissRatio(unit, points).ConvexHull()
 			spec.AccessRate = a.Batch.APKI / 1000
 		} else {
-			spec.MissRatio = a.LatCrit.MissRatio(unit, points)
+			spec.MissRatio = a.LatCrit.MissRatio(unit, points).ConvexHull()
 			spec.AccessRate = a.LatCrit.APKI / 1000 * 0.3
 			spec.LatencyCritical = true
 			in.LatSizes[core.AppID(i)] = 2 << 20

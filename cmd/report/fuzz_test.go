@@ -18,6 +18,8 @@ func FuzzReport(f *testing.F) {
 {"v":3,"seq":3,"type":"epoch","data":{"epoch":1,"time_us":100000,"reconfigured":false,"vulnerability":0,"worst_lat_norm":1.7e308}}
 `))
 	f.Add(uint8(1), []byte(`{"v":1,"cap":4,"series":[{"name":"system.worst_lat_norm","samples":[{"e":0,"v":-1.7e308},{"e":1,"v":1.7e308}]}]}`))
+	// Two finite samples whose sum overflows: the mean was +Inf.
+	f.Add(uint8(1), []byte(`{"v":1,"cap":4,"series":[{"name":"system.worst_lat_norm","samples":[{"e":0,"v":1.7e308},{"e":1,"v":1.7e308}]}]}`))
 	f.Add(uint8(2), []byte(`{"traceEvents":[{"name":"core.place","cat":"span","ph":"X","ts":0,"dur":5,"pid":1,"tid":0}]}`))
 	f.Add(uint8(3), []byte(`{"v":3,"seq":1,"type":"placement_decision","data":{"epoch":0,"time_us":0,"design":"Jumanji","stage":"lat-crit","vm":2,"app":10,"name":"xapian","lat_crit":true,"region":-1,"target_bytes":1048576,"placed_bytes":1048576,"candidates":[{"bank":15,"dist":0,"taken_bytes":1048576}]}}
 `))
@@ -35,6 +37,11 @@ func FuzzReport(f *testing.F) {
 		rep, err := buildReport("fuzz", 10, in)
 		if err != nil {
 			return
+		}
+		for _, row := range rep.Series {
+			if row.Samples > 0 && !(row.Min <= row.Mean && row.Mean <= row.Max) {
+				t.Fatalf("series %s: mean %v outside [%v, %v]", row.Name, row.Mean, row.Min, row.Max)
+			}
 		}
 		var h, m bytes.Buffer
 		if err := renderHTML(&h, rep); err != nil {

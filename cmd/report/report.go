@@ -346,6 +346,22 @@ func buildFromEvents(rep *report, events []obs.Event, topK int) error {
 // sparkWindow bounds sparkline length; longer series show their newest end.
 const sparkWindow = 60
 
+// mean returns the mean of samples, whose sum is sum and extremes lo and hi.
+// sum/n is exact enough and keeps ordinary reports' digits; only when the
+// sum overflows (finite samples near ±MaxFloat64) is the mean taken as
+// Σ(x/n), clamped to [lo, hi] against rounding.
+func mean(samples []tsdb.Sample, sum, lo, hi float64) float64 {
+	n := float64(len(samples))
+	if !math.IsInf(sum, 0) {
+		return sum / n
+	}
+	m := 0.0
+	for _, s := range samples {
+		m += s.Value / n
+	}
+	return math.Max(lo, math.Min(hi, m))
+}
+
 func buildSeries(rep *report, dump []tsdb.SeriesData) {
 	if len(dump) == 0 {
 		return
@@ -360,7 +376,7 @@ func buildSeries(rep *report, dump []tsdb.SeriesData) {
 				row.Max = math.Max(row.Max, s.Value)
 				sum += s.Value
 			}
-			row.Mean = sum / float64(len(sd.Samples))
+			row.Mean = mean(sd.Samples, sum, row.Min, row.Max)
 			row.Last = sd.Samples[len(sd.Samples)-1].Value
 			start := 0
 			if len(sd.Samples) > sparkWindow {

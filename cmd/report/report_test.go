@@ -339,3 +339,24 @@ func TestReportRejectsMalformedInputs(t *testing.T) {
 		t.Error("malformed tsdb dump was accepted")
 	}
 }
+
+// A series mean stays within the samples' range when their sum overflows
+// (two samples of 1.7e308 averaged to +Inf), and is sum/n otherwise, so
+// ordinary reports keep their digits.
+func TestSeriesMeanOverflow(t *testing.T) {
+	rep := &report{}
+	buildSeries(rep, []tsdb.SeriesData{
+		{Name: "huge", Samples: []tsdb.Sample{{Epoch: 0, Value: 1.7e308}, {Epoch: 1, Value: 1.7e308}}},
+		{Name: "plain", Samples: []tsdb.Sample{{Epoch: 0, Value: 0.1}, {Epoch: 1, Value: 0.2}, {Epoch: 2, Value: 0.4}}},
+	})
+	if got := rep.Series[0].Mean; got != 1.7e308 {
+		t.Errorf("mean of two 1.7e308 samples = %v, want 1.7e308", got)
+	}
+	sum := 0.0
+	for _, v := range []float64{0.1, 0.2, 0.4} {
+		sum += v
+	}
+	if got, want := rep.Series[1].Mean, sum/3; got != want {
+		t.Errorf("mean of 0.1, 0.2, 0.4 = %v, want sum/n = %v", got, want)
+	}
+}

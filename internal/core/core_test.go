@@ -555,19 +555,6 @@ func TestFixedPlacerNames(t *testing.T) {
 	}
 }
 
-func TestRawCurveJigsaw(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	in := testWorkload(4, 4, rng)
-	p := RawCurveJigsawPlacer{}
-	if p.Name() == "" {
-		t.Error("empty name")
-	}
-	pl := PlaceWith(p, in, nil)
-	if err := pl.Validate(in); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTradeAdjust(t *testing.T) {
 	m := DefaultMachine()
 	pl := NewPlacement(m)

@@ -73,7 +73,7 @@ func (IdealBatchPlacer) place(in *Input, pl *Placement) bool {
 		}
 		vmList = append(vmList, vm)
 		reqs = append(reqs, lookahead.Request{
-			Curve: s.arena.ConvexHull(combinedBatchCurveArena(s, in, s.batch)),
+			Curve: combinedBatchCurveArena(s, in, s.batch),
 			Min:   in.Machine.BankBytes, // at least one overlay bank each
 			Step:  in.Machine.BankBytes,
 		})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"jumanji/internal/lookahead"
-	"jumanji/internal/mrc"
 	"jumanji/internal/obs"
 )
 
@@ -21,24 +20,6 @@ func (JigsawPlacer) Name() string { return "Jigsaw" }
 
 // PlaceInto implements Placer.
 func (JigsawPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
-	return jigsawPlace(in, true, pl)
-}
-
-// RawCurveJigsawPlacer is an ablation variant of Jigsaw that feeds raw
-// (possibly cliffed) miss curves to Lookahead instead of convex hulls.
-// The paper approximates DRRIP's miss curve by the hull (Sec. IV-A), so
-// hulls are the faithful configuration; see BenchmarkAblationHull.
-type RawCurveJigsawPlacer struct{}
-
-// Name implements Placer.
-func (RawCurveJigsawPlacer) Name() string { return "Jigsaw (raw curves)" }
-
-// PlaceInto implements Placer.
-func (RawCurveJigsawPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
-	return jigsawPlace(in, false, pl)
-}
-
-func jigsawPlace(in *Input, hull bool, pl *Placement) *Placement {
 	mustValidate(in)
 	pl.Reset(in.Machine)
 	s := getPlaceScratch(in.Machine)
@@ -52,15 +33,8 @@ func jigsawPlace(in *Input, hull bool, pl *Placement) *Placement {
 	wayBytes := in.Machine.WayBytes()
 	for i := range in.Apps {
 		apps = append(apps, AppID(i))
-		var curve mrc.Curve
-		if hull {
-			curve = missRateHullArena(s, in, AppID(i))
-		} else {
-			spec := in.Apps[i]
-			curve = spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate)
-		}
 		reqs = append(reqs, lookahead.Request{
-			Curve: curve,
+			Curve: missRateArena(s, in, AppID(i)),
 			Min:   wayBytes, // every VC keeps a sliver of cache
 			Step:  wayBytes,
 			Max:   in.Machine.TotalBytes(),

@@ -192,7 +192,7 @@ func (p JumanjiPlacer) assignBanks(in *Input, pl *Placement, latRes latCritResul
 		batch := s.batch
 		curve := flatCurve(in, &s.arena)
 		if len(batch) > 0 {
-			curve = s.arena.ConvexHull(combinedBatchCurveArena(s, in, batch))
+			curve = combinedBatchCurveArena(s, in, batch)
 		}
 		r := lookahead.BankGranularRequest(curve, 1, latOf[vm], m.BankBytes)
 		// A VM whose latency-critical data lands exactly on a bank boundary
@@ -308,7 +308,7 @@ func (p JumanjiPlacer) placeBatchWithin(in *Input, pl *Placement, s *placeScratc
 	reqs := s.reqs[:0]
 	for _, app := range batch {
 		reqs = append(reqs, lookahead.Request{
-			Curve: missRateHullArena(s, in, app),
+			Curve: missRateArena(s, in, app),
 			Min:   wayBytes,
 			Step:  wayBytes,
 			Max:   in.Machine.TotalBytes(),

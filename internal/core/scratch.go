@@ -90,11 +90,10 @@ func combinedBatchCurveArena(s *placeScratch, in *Input, batch []AppID) mrc.Curv
 	return s.arena.Combine(curves...)
 }
 
-// missRateHullArena builds the convex hull of app's absolute miss-rate curve
-// (miss ratio × access rate, the quantity lookahead trades off across
-// applications) in s.arena.
-func missRateHullArena(s *placeScratch, in *Input, app AppID) mrc.Curve {
+// missRateArena builds app's absolute miss-rate curve (miss ratio × access
+// rate, the quantity lookahead trades off across applications) in s.arena.
+// The input curve is a convex hull, so the scaled curve is one too.
+func missRateArena(s *placeScratch, in *Input, app AppID) mrc.Curve {
 	spec := in.Apps[app]
-	mr := spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate)
-	return s.arena.ConvexHull(mr)
+	return spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate)
 }

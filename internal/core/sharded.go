@@ -193,7 +193,8 @@ func assignVMsToRegions(in *Input, regs *topo.Regions, s *shardScratch) {
 		// samples of each miss-rate curve carry all the information this
 		// stage can use — downsampling turns the assignment stage from
 		// O(apps × ways) into O(apps × banks) curve work, which is what keeps
-		// stage 1 cheap at 100s of banks.
+		// stage 1 cheap at 100s of banks. Samples of a convex hull are
+		// convex, so they feed Combine as they are.
 		curve := flatCurve(in, &s.arena)
 		if len(s.batch) > 0 {
 			nb := m.Banks() + 1
@@ -207,7 +208,7 @@ func assignVMsToRegions(in *Input, regs *topo.Regions, s *shardScratch) {
 				curves = append(curves, d)
 			}
 			s.curves = curves
-			curve = s.arena.ConvexHull(s.arena.Combine(curves...))
+			curve = s.arena.Combine(curves...)
 		}
 		r := lookahead.BankGranularRequest(curve, 1, lat, m.BankBytes)
 		if len(s.batch) > 0 && r.Min < wayBytes*float64(len(s.batch)) {

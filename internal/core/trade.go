@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"jumanji/internal/mrc"
 	"jumanji/internal/obs"
 )
 
@@ -27,12 +26,9 @@ type TradePlacer struct {
 	TradesAttempted, TradesAccepted int
 
 	// Epoch-loop scratch (the placer has a pointer receiver, so it can keep
-	// its own). hulls caches one incremental HullUpdater per app: miss-ratio
-	// curves rarely change between epochs, so Update usually returns the
-	// cached hull without recomputing (bitwise-identical either way).
+	// its own).
 	vms        []VMID
 	lat, batch []AppID
-	hulls      map[AppID]*mrc.HullUpdater
 }
 
 // The CPI-delta model that evaluates trades uses the Table II machine's
@@ -41,21 +37,6 @@ const (
 	tradeMemLatency = 120
 	tradeHopCycles  = 3
 )
-
-// hullOf returns the convex hull of app's miss-ratio curve via the placer's
-// per-app incremental updater. The returned curve aliases updater-owned
-// memory and is valid until the next hullOf call for the same app.
-func (p *TradePlacer) hullOf(in *Input, app AppID) mrc.Curve {
-	if p.hulls == nil {
-		p.hulls = make(map[AppID]*mrc.HullUpdater)
-	}
-	u := p.hulls[app]
-	if u == nil {
-		u = &mrc.HullUpdater{}
-		p.hulls[app] = u
-	}
-	return u.Update(in.Apps[app].MissRatio)
-}
 
 // Name implements Placer.
 func (p *TradePlacer) Name() string { return "Jumanji: Trading" }
@@ -137,7 +118,7 @@ func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps 
 
 	// Required capacity compensation: missRatio(total+c) must improve
 	// enough that Δmiss × memLat ≥ ΔhitLat. Search in way steps.
-	curve := p.hullOf(in, lat)
+	curve := spec.MissRatio
 	missNow := curve.Eval(total)
 	comp := math.Inf(1)
 	for c := wayBytes; c <= 8*wayBytes; c += wayBytes {
@@ -157,7 +138,7 @@ func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps 
 	// wayBytes in the near one; accept only if the donor's own benefit
 	// (closer data) outweighs its capacity loss.
 	donorSpec := in.Apps[donor]
-	donorCurve := p.hullOf(in, donor)
+	donorCurve := donorSpec.MissRatio
 	donorTotal := pl.TotalOf(donor)
 	missCost := (donorCurve.Eval(donorTotal-comp) - donorCurve.Eval(donorTotal)) * tradeMemLatency
 	dDonorNear := float64(mesh.Hops(donorSpec.Core, nearBank))

@@ -34,7 +34,11 @@ type AppSpec struct {
 	// LatencyCritical marks applications with tail-latency deadlines.
 	LatencyCritical bool
 	// MissRatio is the application's LLC miss-*ratio* curve (misses per
-	// LLC access, 0..1, as profiled by UMONs).
+	// LLC access, 0..1, as profiled by UMONs). It must be a convex hull:
+	// the paper models DRRIP's miss curve as the hull of LRU's (Sec. IV-A),
+	// and the placers combine and divide curves on that assumption without
+	// hulling them again. Whoever builds the Input builds the hull, once;
+	// system's -check verifies it (the "mrc-convex" invariant).
 	MissRatio mrc.Curve
 	// AccessRate is the application's LLC access intensity (accesses per
 	// kilo-instruction, or any consistent rate). Placers weight utility by

@@ -144,7 +144,8 @@ func New(cfg Config) (*Driver, error) {
 // Placement returns the most recent placement.
 func (d *Driver) Placement() *core.Placement { return d.placed }
 
-// buildInput assembles the placer input from UMON-measured curves.
+// buildInput assembles the placer input from UMON-measured curves, hulling
+// each raw curve once: placers take convex hulls (core.AppSpec.MissRatio).
 func (d *Driver) buildInput() *core.Input {
 	in := &core.Input{Machine: d.cfg.Machine, LatSizes: map[core.AppID]float64{}}
 	for i, a := range d.cfg.Apps {
@@ -154,7 +155,7 @@ func (d *Driver) buildInput() *core.Input {
 			VM:              a.VM,
 			Core:            a.Core,
 			LatencyCritical: a.LatencyCritical,
-			MissRatio:       d.umons[i].MissRatioCurve(),
+			MissRatio:       d.umons[i].MissRatioCurve().ConvexHull(), // DRRIP ≈ hull of LRU (Sec. IV-A)
 			AccessRate:      rate,
 		}
 		in.Apps = append(in.Apps, spec)

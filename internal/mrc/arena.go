@@ -5,12 +5,12 @@
 package mrc
 
 // Arena hands out []float64 backing from reusable slabs, so the epoch loop's
-// curve temporaries (clones, hulls, combined curves) stop hitting the heap.
+// curve temporaries (scaled and combined curves) stop hitting the heap.
 //
 // Lifetime rules:
 //
-//   - Every curve produced through an arena (Alloc, Curve, ConvexHull,
-//     Combine, or an *Into form given Alloc storage) is valid only until the
+//   - Every curve produced through an arena (Alloc, Curve, Combine, or an
+//     *Into form given Alloc storage) is valid only until the
 //     next Reset of that arena. Callers that need a curve to survive Reset
 //     must copy its M first.
 //   - Reset recycles all slabs without zeroing; the next Alloc hands out the
@@ -73,22 +73,17 @@ func (a *Arena) Curve(unit float64, n int) Curve {
 	return Curve{Unit: unit, M: a.Alloc(n)}
 }
 
-// ConvexHull is Curve.ConvexHull with the result backed by the arena.
-func (a *Arena) ConvexHull(c Curve) Curve {
-	return c.ConvexHullInto(a.Alloc(len(c.M)))
-}
-
 // Combine computes the combined miss curve of several applications sharing a
 // pooled allocation that is optimally partitioned among them — the Whirlpool
 // Appendix-B model the paper uses to form per-VM curves. combined(S) =
 // min over {s_i : sum s_i = S} of sum_i curve_i(s_i).
 //
 // For convex curves the greedy marginal-utility construction is exactly
-// optimal; Combine therefore takes the hull of each input first (which also
-// matches the paper's DRRIP approximation). All inputs must share a unit.
-// The result has steps = sum of the inputs' steps and is backed by the
-// arena (a nil arena allocates it). Input hulls live in pooled scratch, not
-// the arena, so the arena's footprint is just the result curve.
+// optimal, so the inputs must be convex: callers pass convex hulls (the
+// paper's DRRIP approximation), built once where the curves are produced.
+// All inputs must share a unit. The result has steps = sum of the inputs'
+// steps and is backed by the arena (a nil arena allocates it); the arena's
+// footprint is just the result curve.
 func (a *Arena) Combine(curves ...Curve) Curve {
 	if len(curves) == 0 {
 		panic("mrc: Combine of no curves")

@@ -44,8 +44,8 @@ func BenchmarkMRCAdd(b *testing.B) {
 }
 
 // BenchmarkMRCHull measures a full from-scratch convex hull (monotone pass,
-// Andrew chain, grid resample) into a reused destination — what every
-// placement recomputation pays per curve without the incremental updater.
+// Andrew chain, grid resample) into a reused destination — what building
+// one placer input curve costs.
 func BenchmarkMRCHull(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	c := benchCurve(rng, 512)
@@ -56,39 +56,13 @@ func BenchmarkMRCHull(b *testing.B) {
 	}
 }
 
-// BenchmarkMRCHullIncremental measures HullUpdater.Update when a handful of
-// points changed since the previous epoch — the epoch loop's common case.
-// Compare against BenchmarkMRCHull for the incremental win.
-func BenchmarkMRCHullIncremental(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	c := benchCurve(rng, 512)
-	var u HullUpdater
-	u.Update(c)
-	// Pre-generate small perturbations near the tail so the timed loop does
-	// no RNG work: flip between two versions of the last few points.
-	alt := append([]float64(nil), c.M...)
-	for j := len(alt) - 4; j < len(alt); j++ {
-		alt[j] *= 0.999
-	}
-	orig := append([]float64(nil), c.M...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			copy(c.M, alt)
-		} else {
-			copy(c.M, orig)
-		}
-		u.Update(c)
-	}
-}
-
 // BenchmarkMRCCombine measures the Whirlpool per-VM curve combination
 // (one call per VM per epoch), including the pooled-scratch reuse path.
 func BenchmarkMRCCombine(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	curves := make([]Curve, 4)
 	for i := range curves {
-		curves[i] = benchCurve(rng, 128)
+		curves[i] = benchCurve(rng, 128).ConvexHull() // Combine takes hulls
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,9 +1,6 @@
 package mrc
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // curveFromBytes decodes a fuzz payload into curve points in [0, 25.5].
 func curveFromBytes(data []byte) []float64 {
@@ -50,22 +47,22 @@ func FuzzConvexHull(f *testing.F) {
 }
 
 // FuzzCombine checks the Whirlpool combination invariants: monotone,
-// convex, correct length and endpoints.
+// convex, correct length and endpoints. Combine's inputs must be convex, so
+// the decoded curves are hulled first.
 func FuzzCombine(f *testing.F) {
 	f.Add([]byte{100, 50, 20}, []byte{80, 10})
 	f.Add([]byte{0}, []byte{255, 0})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		ca := New(1, curveFromBytes(a))
-		cb := New(1, curveFromBytes(b))
-		comb := (*Arena)(nil).Combine(ca, cb)
-		wantLen := len(ca.M) - 1 + len(cb.M) - 1 + 1
+		ha := New(1, curveFromBytes(a)).ConvexHull()
+		hb := New(1, curveFromBytes(b)).ConvexHull()
+		comb := (*Arena)(nil).Combine(ha, hb)
+		wantLen := len(ha.M) - 1 + len(hb.M) - 1 + 1
 		if len(comb.M) != wantLen {
 			t.Fatalf("combined length %d, want %d", len(comb.M), wantLen)
 		}
 		if !comb.IsConvex(1e-6) {
 			t.Fatal("combined curve not convex")
 		}
-		ha, hb := ca.ConvexHull(), cb.ConvexHull()
 		if diff(comb.M[0], ha.M[0]+hb.M[0]) > 1e-6 {
 			t.Fatalf("combined start %v, want %v", comb.M[0], ha.M[0]+hb.M[0])
 		}
@@ -73,43 +70,6 @@ func FuzzCombine(f *testing.F) {
 		if comb.M[len(comb.M)-1] > last+1e-6 {
 			t.Fatal("combined end above the sum of minima")
 		}
-	})
-}
-
-// FuzzHullUpdater feeds an updater two curve revisions decoded from the same
-// fuzz payload (the second is the first with a byte-range splice) and checks
-// both incremental results are bitwise equal to the full ConvexHull.
-func FuzzHullUpdater(f *testing.F) {
-	f.Add([]byte{100, 100, 100, 0}, []byte{3, 7}, uint8(1))
-	f.Add([]byte{50, 60, 10, 10, 5}, []byte{0}, uint8(0))
-	f.Add([]byte{0}, []byte{}, uint8(2))
-	f.Fuzz(func(t *testing.T, data, patch []byte, at uint8) {
-		c := New(1, curveFromBytes(data))
-		var u HullUpdater
-		check := func(rev string) {
-			got := u.Update(c)
-			want := c.ConvexHull()
-			if len(got.M) != len(want.M) {
-				t.Fatalf("%s: incremental length %d, want %d", rev, len(got.M), len(want.M))
-			}
-			for i := range got.M {
-				if math.Float64bits(got.M[i]) != math.Float64bits(want.M[i]) {
-					t.Fatalf("%s: incremental hull differs at %d: %v vs %v (raw %v)",
-						rev, i, got.M, want.M, c.M)
-				}
-			}
-		}
-		check("initial")
-		// Splice the patch into the raw curve at offset `at` (clamped).
-		pos := int(at) % len(c.M)
-		for i, b := range patch {
-			if pos+i >= len(c.M) {
-				break
-			}
-			c.M[pos+i] = float64(b) / 10
-		}
-		check("patched")
-		check("unchanged") // cached-output path
 	})
 }
 

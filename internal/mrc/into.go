@@ -13,9 +13,8 @@ import (
 type pt struct{ x, y float64 }
 
 var (
-	gainsPool       = sync.Pool{New: func() any { return new([]float64) }}
-	hullPtsPool     = sync.Pool{New: func() any { return new([]pt) }}
-	hullScratchPool = sync.Pool{New: func() any { return new([]float64) }}
+	gainsPool   = sync.Pool{New: func() any { return new([]float64) }}
+	hullPtsPool = sync.Pool{New: func() any { return new([]pt) }}
 )
 
 // ScaleInto writes the curve scaled by f into dst and returns a curve backed
@@ -91,8 +90,7 @@ func (c Curve) ConvexHullInto(dst []float64) Curve {
 }
 
 // resampleHull writes the piecewise-linear hull back onto the integer grid
-// 0..len(dst)-1. Shared by ConvexHullInto and HullUpdater so both produce
-// bitwise-identical output.
+// 0..len(dst)-1.
 func resampleHull(dst []float64, hull []pt) {
 	seg := 0
 	for i := range dst {
@@ -111,9 +109,9 @@ func resampleHull(dst []float64, hull []pt) {
 }
 
 // CombineInto is Arena.Combine with the result written into dst, which must
-// have exactly (sum of input steps)+1 elements. Input hulls and the gains list
-// live in pooled scratch, so a warmed call allocates nothing. dst must not
-// share backing with any input curve.
+// have exactly (sum of input steps)+1 elements. The inputs must be convex
+// (see Arena.Combine). The gains list lives in pooled scratch, so a warmed
+// call allocates nothing. dst must not share backing with any input curve.
 func CombineInto(dst []float64, curves ...Curve) Curve {
 	if len(curves) == 0 {
 		panic("mrc: Combine of no curves")
@@ -129,27 +127,19 @@ func CombineInto(dst []float64, curves ...Curve) Curve {
 	if len(dst) != totalSteps+1 {
 		panic("mrc: CombineInto dst length mismatch")
 	}
-	// Gather each hull's per-step miss reduction into pooled scratch —
+	// Gather each curve's per-step miss reduction into pooled scratch —
 	// Combine runs once per VM per epoch, so the gains buffer is reused
-	// across calls rather than reallocated. Convexity makes each hull's list
+	// across calls rather than reallocated. Convexity makes each curve's list
 	// non-increasing, so a single global descending merge is optimal.
 	gp := gainsPool.Get().(*[]float64)
 	gains := (*gp)[:0]
-	hp := hullScratchPool.Get().(*[]float64)
-	hscratch := *hp
 	base := 0.0
 	for _, c := range curves {
-		if cap(hscratch) < len(c.M) {
-			hscratch = make([]float64, len(c.M)) // alloc: ok (scratch growth, amortized to zero)
-		}
-		h := c.ConvexHullInto(hscratch[:len(c.M)])
-		base += h.M[0]
-		for i := 1; i < len(h.M); i++ {
-			gains = append(gains, h.M[i-1]-h.M[i])
+		base += c.M[0]
+		for i := 1; i < len(c.M); i++ {
+			gains = append(gains, c.M[i-1]-c.M[i])
 		}
 	}
-	*hp = hscratch
-	hullScratchPool.Put(hp)
 	// Ascending sort (the specialized float64 path), consumed back-to-front:
 	// same descending order of values as sorting descending, without the
 	// interface indirection of sort.Reverse.

@@ -2,7 +2,6 @@ package mrc
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -115,83 +114,16 @@ func TestAllocGuardArena(t *testing.T) {
 	c := New(1<<20, []float64{0.9, 0.5, 0.3, 0.2, 0.15, 0.12, 0.1})
 	// Warm the arena slabs once.
 	a.Reset()
-	_ = a.ConvexHull(c)
+	_ = c.ConvexHullInto(a.Alloc(len(c.M)))
 	_ = c.ScaleInto(a.Alloc(len(c.M)), 2)
 	var out Curve
 	if allocs := testing.AllocsPerRun(200, func() {
 		a.Reset()
-		out = a.ConvexHull(c.ScaleInto(a.Alloc(len(c.M)), 2))
+		out = c.ScaleInto(a.Alloc(len(c.M)), 2).ConvexHullInto(a.Alloc(len(c.M)))
 	}); allocs != 0 {
 		t.Errorf("Arena ScaleInto+ConvexHull allocated %v times per call, want 0", allocs)
 	}
 	allocSink = out.M[0]
-}
-
-func TestAllocGuardHullUpdater(t *testing.T) {
-	c := New(1<<20, []float64{0.9, 0.5, 0.3, 0.2, 0.15, 0.12, 0.1})
-	var u HullUpdater
-	u.Update(c) // warm: sizes the internal buffers
-	var out Curve
-	if allocs := testing.AllocsPerRun(200, func() {
-		out = u.Update(c)
-	}); allocs != 0 {
-		t.Errorf("HullUpdater.Update allocated %v times per call, want 0", allocs)
-	}
-	allocSink = out.M[0]
-}
-
-// TestHullUpdaterMatchesFull drives a HullUpdater through random mutation
-// sequences and pins, at every step, bitwise equality with the full
-// from-scratch ConvexHull — the property that lets the epoch loop use the
-// incremental path without perturbing any figure.
-func TestHullUpdaterMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(60)
-		pts := make([]float64, n)
-		for i := range pts {
-			pts[i] = rng.Float64()
-		}
-		c := New(1, pts)
-		var u HullUpdater
-		for step := 0; step < 30; step++ {
-			want := c.ConvexHull()
-			got := u.Update(c)
-			if !bitsEqual(got.M, want.M) {
-				t.Fatalf("trial %d step %d: incremental hull %v, want %v (raw %v)",
-					trial, step, got.M, want.M, c.M)
-			}
-			// Mutate: mostly small point edits (the incremental fast path),
-			// sometimes nothing (the cached path), rarely a reshuffle.
-			switch r := rng.Float64(); {
-			case r < 0.2: // no change — must hit the cached-output path
-			case r < 0.9:
-				for k := 0; k < 1+rng.Intn(3); k++ {
-					c.M[rng.Intn(n)] = rng.Float64()
-				}
-			default:
-				for i := range c.M {
-					c.M[i] = rng.Float64()
-				}
-			}
-		}
-	}
-}
-
-// TestHullUpdaterReset checks that an updater survives curve length and unit
-// changes by falling back to a full recompute.
-func TestHullUpdaterReset(t *testing.T) {
-	var u HullUpdater
-	a := New(1, []float64{0.9, 0.2, 0.8, 0.1})
-	b := New(2, []float64{0.5, 0.6, 0.4, 0.7, 0.2, 0.3})
-	for i := 0; i < 3; i++ {
-		if got, want := u.Update(a), a.ConvexHull(); !bitsEqual(got.M, want.M) || got.Unit != want.Unit {
-			t.Fatalf("after switch to a: got %v (unit %g), want %v (unit %g)", got.M, got.Unit, want.M, want.Unit)
-		}
-		if got, want := u.Update(b), b.ConvexHull(); !bitsEqual(got.M, want.M) || got.Unit != want.Unit {
-			t.Fatalf("after switch to b: got %v (unit %g), want %v (unit %g)", got.M, got.Unit, want.M, want.Unit)
-		}
-	}
 }
 
 // Clone returns a deep copy of the curve. The copy never aliases the

@@ -20,8 +20,8 @@ import (
 // per kilo-instruction) when the subject is allocated capacity i*Unit bytes.
 // A valid curve has at least one point and non-negative entries. Miss curves
 // need not be monotone (LRU curves are, but set conflicts can produce
-// non-monotone measured curves); algorithms that require convexity take the
-// hull first.
+// non-monotone measured curves); algorithms that require convexity, such as
+// Combine, take a convex hull that the curve's producer built once.
 //
 // Aliasing contract: Curve is a value type with reference semantics — the
 // struct copies on assignment but M is shared backing. Methods returning a

@@ -649,6 +649,74 @@ func TestDrainRejectsNewSubmissions(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsForWorkers: Close returns only after every worker has
+// exited, so nothing writes under StateDir afterwards (a test's TempDir
+// cleanup used to race a late result write and fail "directory not empty").
+// The run here finishes only once the stopper trips, so its result is
+// written while Close is in progress, and Close writes no snapshot.
+func TestCloseWaitsForWorkers(t *testing.T) {
+	reg := NewRegistry()
+	if err := reg.Register(&Runner{
+		Name:     "until-stop",
+		Validate: func(sp *Spec) error { return nil },
+		Run: func(ctx context.Context, sp *Spec, env Env) ([]byte, error) {
+			for !env.Engine.Stop.Stopped() {
+				time.Sleep(5 * time.Millisecond)
+			}
+			return []byte("stopped\n"), nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, base := startServer(t, func(c *Config) { c.Registry = reg })
+	ack, _ := submit(t, base, &Spec{Type: "until-stop", Seed: 1})
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		state := s.exps[ack.ID].State
+		s.mu.Unlock()
+		if state == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("experiment never started running (state %q)", state)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	state, fph := s.exps[ack.ID].State, s.exps[ack.ID].FPH
+	s.mu.Unlock()
+	if state != StateDone {
+		t.Fatalf("experiment %q when Close returned, want %q", state, StateDone)
+	}
+	tree := func() map[string]int64 {
+		files := map[string]int64{}
+		err := filepath.Walk(s.cfg.StateDir, func(path string, info os.FileInfo, err error) error {
+			if err == nil && !info.IsDir() {
+				files[path] = info.Size()
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	closed := tree()
+	if _, ok := closed[s.store.resultPath(fph)]; !ok {
+		t.Fatalf("result not on disk when Close returned: %v", closed)
+	}
+	if _, ok := closed[s.store.snapshotPath()]; ok {
+		t.Fatal("Close wrote a queue snapshot")
+	}
+	// Longer than the run's stop poll: a worker still alive would write now.
+	time.Sleep(20 * time.Millisecond)
+	if later := tree(); fmt.Sprint(later) != fmt.Sprint(closed) {
+		t.Fatalf("state dir changed after Close returned:\n%v\nthen\n%v", closed, later)
+	}
+}
+
 // TestRecoveryServesCompletedFromCache: a restart must load terminal
 // results as the dedupe cache rather than re-running them.
 func TestRecoveryServesCompletedFromCache(t *testing.T) {

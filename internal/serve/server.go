@@ -632,7 +632,10 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Close abandons graceful shutdown: connections reset, workers are
-// stopped at the next cell boundary. Journalled cells survive regardless.
+// stopped at the next cell boundary, and no queue snapshot is written.
+// Journalled cells survive regardless. Close returns once the dispatcher
+// and every worker have exited, so nothing writes to the state directory
+// after it returns.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.draining = true
@@ -642,10 +645,13 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	var err error
 	if s.srv != nil {
-		return s.srv.Close()
+		err = s.srv.Close()
 	}
-	return nil
+	s.dispatchWG.Wait()
+	s.runWG.Wait()
+	return err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

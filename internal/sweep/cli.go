@@ -39,7 +39,7 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.Soft, "cell-soft-timeout", 0, "log cells still running after this `duration`, with their active phase (0 = off)")
 	fs.DurationVar(&c.Hard, "cell-timeout", 0, "cancel cells still running after this `duration` via their context (0 = off)")
 	fs.StringVar(&c.ChaosSpec, "chaos", "", "deterministic fault-injection `spec`, e.g. 'curve-nan@0.25,panic-cell=3' (rates in [0,1] with @, pinned keys with =)")
-	fs.BoolVar(&c.Check, "check", false, "verify per-epoch invariants inside every run (MRC validity, placement capacity, finite CPI, controller bounds, reconfig liveness)")
+	fs.BoolVar(&c.Check, "check", false, "verify per-epoch invariants inside every run (MRC validity and convexity, placement capacity, finite CPI, controller bounds, reconfig liveness)")
 }
 
 // Enabled reports whether any resilience feature was requested; when false,

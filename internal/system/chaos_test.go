@@ -8,6 +8,7 @@ import (
 
 	"jumanji/internal/chaos"
 	"jumanji/internal/core"
+	"jumanji/internal/mrc"
 )
 
 // mustInvariant runs the simulator with the given chaos arm and invariant
@@ -72,6 +73,40 @@ func TestChaosReconfigDropCaught(t *testing.T) {
 
 func TestChaosReconfigDelayCaught(t *testing.T) {
 	mustInvariant(t, func(in *chaos.Injector) { in.Arm(chaos.ReconfigDelay, 1) }, "reconfig-liveness")
+}
+
+// The placers take convex hulls (core.AppSpec.MissRatio). Under -check, a
+// hull passes "mrc-convex" even where resampling left rounding-level dents,
+// and a monotone curve with a cliff fails it.
+func TestMRCConvexInvariant(t *testing.T) {
+	m := core.DefaultMachine()
+	cliff := mrc.New(m.WayBytes(), []float64{0.9, 0.9, 0.9, 0.9, 0.2, 0.2, 0.1})
+	in := &core.Input{Machine: m, Apps: []core.AppSpec{
+		{Name: "hull", MissRatio: cliff.ConvexHull().Scale(0.7), AccessRate: 1},
+		{Name: "cliff", MissRatio: cliff, AccessRate: 1},
+	}}
+	cfg := &Config{CheckInvariants: true}
+	pl := core.NewPlacement(m)
+	pl.Add(0, 0, m.WayBytes())
+	check := func() (ierr *InvariantError) {
+		defer func() {
+			if r := recover(); r != nil {
+				err, ok := r.(error)
+				if !ok || !errors.As(err, &ierr) {
+					t.Fatalf("panicked with %v, want *InvariantError", r)
+				}
+			}
+		}()
+		checkEpochInvariants(cfg, in, pl, 0, true, true)
+		return nil
+	}
+	if err := check(); err == nil || err.Check != "mrc-convex" || !strings.Contains(err.Error(), "app 1 (cliff)") {
+		t.Fatalf("cliffed input caught as %v, want mrc-convex on app 1", err)
+	}
+	in.Apps = in.Apps[:1]
+	if err := check(); err != nil {
+		t.Fatalf("hull input rejected: %v", err)
+	}
 }
 
 // With chaos off, the invariant checkers must pass a clean run and leave the

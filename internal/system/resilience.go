@@ -28,7 +28,7 @@ func (e *CancelError) Unwrap() error { return e.Cause }
 
 // InvariantError is the panic payload when Config.CheckInvariants detects
 // corrupted simulator state. Check names the checker ("mrc-validity",
-// "placement-capacity", "cpi-finite", "controller-bounds",
+// "mrc-convex", "placement-capacity", "cpi-finite", "controller-bounds",
 // "reconfig-liveness") so chaos tests can assert the right checker caught
 // the injected fault.
 type InvariantError struct {
@@ -94,9 +94,9 @@ func injectPlacementFault(cfg *Config, in *core.Input, pl *core.Placement, epoch
 }
 
 // checkEpochInvariants runs the post-reconfiguration invariant suite: every
-// input curve valid and monotone (hulls are non-increasing by construction),
-// the installed placement within physical capacity, and a reconfiguration
-// actually landed on each reconfiguration boundary.
+// input curve valid, monotone and convex (the placers take convex hulls, see
+// core.AppSpec.MissRatio), the installed placement within physical capacity,
+// and a reconfiguration actually landed on each reconfiguration boundary.
 func checkEpochInvariants(cfg *Config, in *core.Input, pl *core.Placement, epoch int, reconfigured, boundary bool) {
 	if !cfg.CheckInvariants {
 		return
@@ -111,11 +111,29 @@ func checkEpochInvariants(cfg *Config, in *core.Input, pl *core.Placement, epoch
 				panic(&InvariantError{Epoch: epoch, Check: "mrc-validity",
 					Err: fmt.Errorf("app %d (%s): %w", i, in.Apps[i].Name, err)})
 			}
+			if err := checkConvex(in.Apps[i].MissRatio); err != nil {
+				panic(&InvariantError{Epoch: epoch, Check: "mrc-convex",
+					Err: fmt.Errorf("app %d (%s): %w", i, in.Apps[i].Name, err)})
+			}
 		}
 		if err := pl.Validate(in); err != nil {
 			panic(&InvariantError{Epoch: epoch, Check: "placement-capacity", Err: err})
 		}
 	}
+}
+
+// checkConvex reports whether c is a fixed point of ConvexHull within 1e-12
+// of the curve's largest value. Exact convexity (IsConvex(0)) is too strict:
+// resampling a hull onto the grid leaves rounding-level dents.
+func checkConvex(c mrc.Curve) error {
+	h := c.ConvexHull()
+	tol := 1e-12 * c.M[0]
+	for i, v := range c.M {
+		if math.Abs(h.M[i]-v) > tol {
+			return fmt.Errorf("mrc: curve not convex: point %d is %v, its hull %v", i, v, h.M[i])
+		}
+	}
+	return nil
 }
 
 // checkPerfInvariants verifies one app's modeled performance is physical:

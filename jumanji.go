@@ -201,8 +201,9 @@ type Options struct {
 	// every run; pair with CheckInvariants to verify they are caught.
 	Chaos *chaos.Injector
 	// CheckInvariants enables the per-epoch invariant suite inside runs:
-	// MRC validity, placement capacity, finite CPI, controller bounds, and
-	// reconfiguration liveness, each panicking a *system.InvariantError.
+	// MRC validity and convexity, placement capacity, finite CPI, controller
+	// bounds, and reconfiguration liveness, each panicking a
+	// *system.InvariantError.
 	CheckInvariants bool
 	// Ctx, when non-nil, cancels in-flight runs (polled once per epoch).
 	Ctx context.Context

@@ -245,3 +245,31 @@ func TestAllDesignsRunViaAPI(t *testing.T) {
 		}
 	}
 }
+
+// Every design's first placement passes the -check invariant suite, flat
+// and sharded: in particular every placer input curve is a convex hull
+// ("mrc-convex"), the contract the placers rely on.
+func TestAllDesignsPassInvariantsAtEpochZero(t *testing.T) {
+	flat := DefaultOptions()
+	flat.Epochs, flat.Warmup = 1, 0
+	flat.CheckInvariants = true
+	sharded := flat
+	sharded.MeshW, sharded.MeshH = 8, 8
+	sharded.ShardRegionW, sharded.ShardRegionH = 4, 4
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		build func(Options) (Workload, error)
+	}{
+		{"flat", flat, CaseStudy("silo", 4)},
+		{"sharded", sharded, Datacenter(4)},
+	} {
+		for _, d := range AllDesigns() {
+			t.Run(tc.name+"/"+d.String(), func(t *testing.T) {
+				if _, err := Run(tc.opts, tc.build, d); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
